@@ -7,11 +7,12 @@ or input errors.  All output is deterministic; nothing is randomized.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .jordan import JordanBasis, build_sjb, build_sjb_levels
-from .lattice import CapacityError, binomial, ground_cap
+from .lattice import CapacityError, binomial, check_ground_size
 from .scd import ChainDecomposition, build_scd, chain_length_profile, chain_length_sequence
 from .serialize import DocumentError, export_up_matrix_csv, load, save
 from .verify import (check_orthogonality, check_ratio_uniformity, ratio_profile,
@@ -143,15 +144,18 @@ def _cmd_rank(args) -> int:
     if n < 1:
         print("error: rank needs --n >= 1", file=sys.stderr)
         return 2
-    cap = args.cap if args.cap is not None else ground_cap()
-    if not 0 <= n <= cap:
-        raise CapacityError(f"ground set size must be in 0..{cap}, got {n}")
+    check_ground_size(n, args.cap)
     ks = [args.k] if args.k is not None else list(range(n))
     if any(not 0 <= k < n for k in ks):
         print(f"error: --k must be in 0..{n - 1}", file=sys.stderr)
         return 2
-    if args.jobs > 1 and len(ks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
+    # More workers than levels or cores would only add processes to start.
+    workers = min(args.jobs, len(ks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_rank_row, [(n, k) for k in ks]))
     else:
         results = [up_rank_check(n, k) for k in ks]
@@ -207,10 +211,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    n = args.n
-    cap = args.cap if args.cap is not None else ground_cap()
-    if not 0 <= n <= cap:
-        raise CapacityError(f"ground set size must be in 0..{cap}, got {n}")
+    n = check_ground_size(args.n, args.cap)
     print(f"{'k':>3} {'dim C(n,k)':>12} {'chains starting':>16}")
     for k in range(n + 1):
         starting = max(binomial(n, k) - binomial(n, k - 1), 0)

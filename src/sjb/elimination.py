@@ -1,77 +1,82 @@
-"""Exact integer matrix rank via fraction-free (Bareiss) elimination.
+"""Exact integer matrix rank: a modular full-rank certificate, then Bareiss.
 
-The update rule a[i][j] <- (a[i][j]*pivot - a[i][c]*a[r][j]) / prev keeps
-every intermediate entry an exact minor of the input, so the division is
-always exact and nothing is ever rounded.  Row swaps and column skipping
-only permute which minors appear.
+Every rank question sjb asks is a full-rank question, so the matrix is
+first eliminated modulo the prime P = 2**31 - 1 in numpy int64 (residues
+stay below P, so every product stays below 2**62).  A rank mod P is never
+more than the rational rank, since a minor that is nonzero mod P is a
+nonzero integer; so a full modular rank is a certificate of full rank.
 
-A vectorized int64 path handles the common case; every step is guarded
-by an a-priori bound proving that no intermediate product can overflow,
-and on guard failure the remaining submatrix is handed off to a
-big-integer path.  Results are bit-exact either way.
+A deficient modular rank proves nothing by itself: the matrix may be
+singular, or P may divide every maximal minor.  Such matrices are ranked
+by fraction-free (Bareiss) elimination over the integers, whose update
+rule a[i][j] <- (a[i][j]*pivot - a[i][c]*a[r][j]) / prev keeps every
+intermediate entry an exact minor of the input, so the division is
+always exact.  Either way the result is the exact rank over Q.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_INT64_GUARD = 1 << 62
+P = (1 << 31) - 1
 
 
 def exact_rank(matrix) -> int:
     """Rank of an integer matrix (sequence of rows) over the rationals."""
-    rows = [[int(x) for x in row] for row in matrix]
-    if not rows:
+    a = np.asarray(matrix)
+    if a.dtype.kind not in "biuO":
+        # Python ints mixing values past 2**63 with negatives promote to
+        # float64, which rounds them; keep the original ints instead.
+        a = np.array(matrix, dtype=object)
+    if a.size == 0:
         return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    if ncols == 0:
-        return 0
-    bound = max((abs(x) for row in rows for x in row), default=0)
-    if bound < _INT64_GUARD:
-        return _rank_int64(np.array(rows, dtype=np.int64))
-    return _rank_bigint(rows, prev=1)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
+    full = min(a.shape)
+    if a.dtype.kind in "bi":
+        residues = a.astype(np.int64) % P
+    else:
+        # Entries past int64 (uint64 or object arrays): reduce them exactly.
+        residues = np.array([[int(x) % P for x in row] for row in a.tolist()],
+                            dtype=np.int64)
+    if _rank_mod_p(residues) == full:
+        return full
+    return _rank_bigint([[int(x) for x in row] for row in a.tolist()])
 
 
-def _rank_int64(a: np.ndarray) -> int:
+def _rank_mod_p(a: np.ndarray) -> int:
+    """Rank over GF(P) of a matrix of residues; a is overwritten."""
     m, n = a.shape
     r = 0
-    c = 0
-    prev = 1
-    while c < n and r < m:
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
-            c += 1
             continue
-        # Smallest-magnitude pivot curbs entry growth.
-        pick = int(nz[np.argmin(np.abs(col[nz]))]) + r
+        pick = r + int(nz[0])
         if pick != r:
             a[[r, pick]] = a[[pick, r]]
-        pv = int(a[r, c])
-        if r + 1 < m:
-            sub = a[r + 1:, c:]
-            piv_row = a[r, c:]
-            mx = int(np.abs(sub).max())
-            pr = int(np.abs(piv_row).max())
-            if mx * abs(pv) + mx * pr >= _INT64_GUARD:
-                # Prove-safe bound failed: finish exactly with big ints.
-                return r + _rank_bigint(a[r:, c:].tolist(), prev=prev)
-            f = sub[:, 0].copy()
-            np.multiply(sub, pv, out=sub)
-            sub -= np.outer(f, piv_row)
-            sub //= prev
-        prev = pv
+        # Rows below the pivot with a nonzero in column c: a row swapped
+        # down from r held a zero there.  Only the pivot row's nonzero
+        # columns change, and column c itself is never read again.
+        below = r + nz[1:]
+        cols = c + 1 + np.flatnonzero(a[r, c + 1:])
+        if below.size and cols.size:
+            inv = pow(int(a[r, c]), P - 2, P)
+            piv = a[r, cols] * inv % P
+            block = np.ix_(below, cols)
+            a[block] = (a[block] - np.multiply.outer(a[below, c], piv)) % P
         r += 1
-        c += 1
     return r
 
 
-def _rank_bigint(rows: list[list[int]], prev: int) -> int:
+def _rank_bigint(rows: list[list[int]]) -> int:
+    """Exact rank by Bareiss elimination over Python ints; rows is overwritten."""
     m = len(rows)
     n = len(rows[0])
     r = 0
+    prev = 1
     for c in range(n):
         if r == m:
             break

@@ -131,10 +131,9 @@ def _rank_matrix(basis: JordanBasis, r: int) -> list[list[int]]:
 def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> VerificationReport:
     """Check a full basis: chains, counts, and per-rank linear independence.
 
-    The per-rank full-rank check runs exact fraction-free elimination on
-    a C(n,r) x C(n,r) integer matrix per rank; disable it via
-    check_full_rank for large n where only the structural checks are
-    wanted.
+    The per-rank full-rank check runs exact_rank on a C(n,r) x C(n,r)
+    integer matrix per rank; disable it via check_full_rank for large n
+    where only the structural checks are wanted.
     """
     n = basis.n
     report = VerificationReport(f"sjb n={n} chains={len(basis.chains)}")

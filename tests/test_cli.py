@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import sjb.cli
 from sjb.cli import main
 from sjb.serialize import load, save, serialize
 from sjb.jordan import build_sjb
@@ -102,6 +103,51 @@ def test_rank_parallel_matches_serial(capsys):
     assert main(["rank", "--n", "6"]) == 0
     ser = capsys.readouterr().out
     assert par == ser
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_rank_jobs_capped_by_levels_and_cores(monkeypatch, capsys):
+    monkeypatch.setattr(sjb.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(sjb.cli.os, "cpu_count", lambda: 4)
+    _InlinePool.sizes = []
+    assert main(["rank", "--n", "6", "--jobs", "100000"]) == 0
+    assert main(["rank", "--n", "6", "--jobs", "3"]) == 0
+    assert main(["rank", "--n", "2", "--jobs", "100000"]) == 0
+    assert main(["rank", "--n", "6", "--k", "2", "--jobs", "100000"]) == 0
+    assert _InlinePool.sizes == [4, 3, 2]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_rank_rejects_nonpositive_jobs(capsys, jobs):
+    assert main(["rank", "--n", "4", "--jobs", jobs]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank", "stats"])
+def test_cap_clamped_to_hard_cap(capsys, command):
+    argv = [command, "--n", "70", "--cap", "100"] + (["--k", "0"] if command == "rank" else [])
+    assert main(argv) == 2
+    assert "ground set size must be in 0..63, got 70" in capsys.readouterr().err
+    assert main([command, "--n", "9", "--cap", "8"]) == 2
+    assert "ground set size must be in 0..8, got 9" in capsys.readouterr().err
 
 
 def test_profile_command(tmp_path, capsys):

@@ -1,11 +1,18 @@
-"""Exact rank: fraction-free elimination against a rational-Gauss oracle."""
+"""Exact rank: the modular certificate and the Bareiss fallback, against oracles."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sjb.elimination import _rank_bigint, exact_rank
+from sjb import elimination
+from sjb.elimination import P, _rank_bigint, _rank_mod_p, exact_rank
+from sjb.jordan import build_sjb
+from sjb.operators import up_matrix
+from sjb.verify import _rank_matrix
 
 
 def fraction_rank(matrix):
@@ -82,14 +89,110 @@ def test_huge_entries_use_bigint_path():
     assert exact_rank(mat) == fraction_rank(mat)
 
 
-def test_int64_guard_handoff():
-    # Entries near 2^31 force products past the int64 guard mid-run, so
-    # the fast path must hand off to the big-integer path and still agree.
+def test_entries_near_2_31_match_oracles():
+    # Entries near 2^31 make Bareiss minors outgrow int64 within a few steps.
     rng = random.Random(23)
     base = 1 << 31
     for _ in range(10):
         mat = [[rng.randint(base - 3, base + 3) for _ in range(5)] for _ in range(5)]
-        assert exact_rank(mat) == fraction_rank(mat)
+        assert exact_rank(mat) == fraction_rank(mat) == _rank_bigint([r[:] for r in mat])
+
+
+def _spy_fallback(monkeypatch):
+    calls = []
+    real = elimination._rank_bigint
+
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(elimination, "_rank_bigint", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mat, rank", [
+    ([[P, 0, 0], [0, P, 0], [0, 0, P]], 3),            # P*I
+    ([[1, 2, 3], [1, 2 + P, 3]], 2),                    # rows differ by P*e_2
+    ([[2, 1], [1, (P + 1) // 2]], 2),                   # determinant P
+    ([[3, 5, 7], [3 + 2 * P, 5, 7 - P], [0, 1, 1]], 3),
+    ([[1, 2, 3], [2, 4, 6]], 1),                        # singular over Q too
+    ([[0, 0], [0, 0]], 0),
+])
+def test_deficient_mod_p_falls_back_to_bareiss(monkeypatch, mat, rank):
+    assert _rank_mod_p(np.array(mat, dtype=np.int64) % P) < min(len(mat), len(mat[0]))
+    calls = _spy_fallback(monkeypatch)
+    assert exact_rank(mat) == rank == fraction_rank(mat)
+    assert calls == [len(mat)]
+
+
+def test_full_rank_mod_p_skips_bareiss(monkeypatch):
+    calls = _spy_fallback(monkeypatch)
+    assert exact_rank(up_matrix(6, 2).rows) == 15
+    assert exact_rank([[1, 1], [1, 1 + P + 1]]) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("mat", [
+    [[1 << 63, 1], [1, 1 << 63]],                       # fits uint64 only
+    [[1 << 63, 1 << 62], [2, 1]],
+    [[(1 << 64) + 5, -3], [-(1 << 63) - 1, 7]],          # object array
+    [[1 << 70, 1 << 70], [1 << 71, 1 << 71]],
+    [[-(1 << 63), -1], [-1, -(1 << 63)]],               # int64 minimum
+    [[-1, -2, -3], [-2, -4, -6], [5, -P, 0]],
+    [[P * (1 << 40), 0], [0, -P * (1 << 40)]],
+    # Singular; numpy promotes this list to float64, which rounds 2^62 + 700.
+    [[3 * ((1 << 62) + 700), -3], [(1 << 62) + 700, -1]],
+])
+def test_huge_and_negative_entries(mat):
+    assert exact_rank(mat) == fraction_rank(mat) == _rank_bigint([r[:] for r in mat])
+
+
+def test_numpy_arrays_of_any_integer_dtype():
+    mat = [[1, 2], [3, 4]]
+    for dtype in (np.int8, np.int64, np.uint8, np.uint64, bool):
+        assert exact_rank(np.array(mat, dtype=dtype)) == fraction_rank(
+            np.array(mat, dtype=dtype).tolist())
+    # Singular, but full rank mod P if 2^63 wrapped to -2^63 on the way to int64.
+    wraps = np.array([[1 << 63, 1 << 62], [2, 1]], dtype=np.uint64)
+    assert exact_rank(wraps) == fraction_rank(wraps.tolist()) == 1
+
+
+_entries = st.one_of(st.integers(-3, 3), st.sampled_from([P, -P, 2 * P, 1 << 63]),
+                     st.integers(-(1 << 70), 1 << 70),
+                     st.integers(1 << 53, (1 << 64) - 1))   # float64 rounds these
+
+
+@st.composite
+def _matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    # A product through an inner dimension below min(m, n) is rank deficient.
+    r = draw(st.integers(0, min(m, n) - 1))
+    left = [[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(m)]
+    right = [[draw(_entries) for _ in range(n)] for _ in range(r)]
+    return [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)]
+            for i in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_exact_rank_matches_fraction_rank(mat):
+    assert exact_rank(mat) == fraction_rank(mat)
+
+
+def test_up_matrices_match_bareiss_oracle():
+    for n in range(1, 9):
+        for k in range(n):
+            rows = up_matrix(n, k).rows
+            assert exact_rank(rows) == _rank_bigint([r[:] for r in rows])
+
+
+def test_basis_stacks_match_bareiss_oracle():
+    for n in range(8):
+        basis = build_sjb(n)
+        for r in range(n + 1):
+            rows = _rank_matrix(basis, r)
+            assert exact_rank(rows) == _rank_bigint([row[:] for row in rows])
 
 
 def test_bigint_path_directly():
@@ -98,7 +201,7 @@ def test_bigint_path_directly():
         m = rng.randint(1, 7)
         n = rng.randint(1, 7)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        assert _rank_bigint([row[:] for row in mat], prev=1) == fraction_rank(mat)
+        assert _rank_bigint([row[:] for row in mat]) == fraction_rank(mat)
 
 
 def test_ragged_matrix_rejected():
