@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .jordan import JordanBasis, build_sjb, build_sjb_levels
 from .lattice import CapacityError, binomial, check_ground_size
+from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, build_scd, chain_length_profile, chain_length_sequence
 from .serialize import DocumentError, export_up_matrix_csv, load, save
 from .verify import (check_orthogonality, check_ratio_uniformity, ratio_profile,
@@ -152,6 +153,8 @@ def _cmd_rank(args) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
+    for k in ks:
+        check_up_matrix_size(n, k)
     # More workers than levels or cores would only add processes to start.
     workers = min(args.jobs, len(ks), os.cpu_count() or 1)
     if workers > 1:
@@ -222,6 +225,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_export_matrix(args) -> int:
+    check_ground_size(args.n)
     export_up_matrix_csv(args.n, args.k, args.out)
     print(f"wrote {args.out} ({binomial(args.n, args.k + 1)}x{binomial(args.n, args.k)})")
     return 0

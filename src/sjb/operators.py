@@ -12,24 +12,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import binomial, covered_by, covers_of, subsets_of_rank
+from .lattice import CapacityError, binomial, covered_by, covers_of, subsets_of_rank
 from .vectors import Vector
+
+# Ranking a dense up matrix peaks at about 32 bytes per entry: the Python
+# row lists, then the int64 residues and the elimination's temporaries
+# (measured: 346 MB for n=14, k=6, 121 MB for n=13, k=6).  2**26 entries
+# keep that near 2 GB and admit every k for n <= 15.
+UP_MATRIX_MAX_ENTRIES = 1 << 26
 
 
 def up(v: Vector) -> Vector:
     """Sum of covering subsets, extended linearly."""
     acc: dict[int, int] = {}
-    n = v.n
+    get = acc.get
+    bits = [1 << i for i in range(v.n)]
     for mask, c in v._terms.items():
-        for cover in covers_of(mask, n):
-            s = acc.get(cover, 0) + c
-            if s == 0:
-                del acc[cover]
-            else:
-                acc[cover] = s
+        for bit in bits:
+            if not mask & bit:
+                cover = mask | bit
+                acc[cover] = get(cover, 0) + c
     out = Vector.__new__(Vector)
-    out.n = n
-    out._terms = acc
+    out.n = v.n
+    # Sums that cancelled are dropped once, after all terms are in.
+    out._terms = {cover: s for cover, s in acc.items() if s}
     return out
 
 
@@ -108,10 +114,19 @@ class UpMatrix:
         return len(self.row_basis), len(self.col_basis)
 
 
+def check_up_matrix_size(n: int, k: int) -> None:
+    """Raise CapacityError if the rank-k up matrix of B(n) is over the cap."""
+    entries = binomial(n, k + 1) * binomial(n, k)
+    if entries > UP_MATRIX_MAX_ENTRIES:
+        raise CapacityError(f"up matrix for n={n}, k={k} has {entries} entries, "
+                            f"over the cap of {UP_MATRIX_MAX_ENTRIES}")
+
+
 def up_matrix(n: int, k: int) -> UpMatrix:
     """Matrix of up from rank k to rank k+1 of B(n)."""
     if not 0 <= k < n:
         raise ValueError(f"rank must be in 0..{n - 1}, got {k}")
+    check_up_matrix_size(n, k)
     col_basis = subsets_of_rank(n, k)
     row_basis = subsets_of_rank(n, k + 1)
     row_index = {mask: i for i, mask in enumerate(row_basis)}

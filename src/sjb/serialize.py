@@ -2,6 +2,8 @@
 
 Documents are JSON with a fixed key order, two-space indent, and a
 trailing newline, so equal objects serialize to byte-identical files.
+They are written as text directly, chain by chain, so save() holds one
+chain's text at a time, never the whole document.
 Subsets appear as sorted 1-indexed element lists and coefficients as
 decimal strings, keeping files readable and safe for any consumer's
 integer width.
@@ -48,9 +50,73 @@ def to_document(obj: Serializable) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+# The writer below emits exactly what json.dumps(to_document(obj), indent=2)
+# prints, plus the trailing newline, without building either of them.  Each
+# piece it yields is the header, one chain, or the closing brackets.
+
+_TERM_OPEN = '          {\n            "subset": '
+_COEFF_OPEN = ',\n            "coeff": "'
+_TERM_CLOSE = '"\n          }'
+
+
+def _list_text(items: list[str], indent: int) -> str:
+    """A list of already indented item texts, closed at the given depth."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+def _subset_text(mask: int, indent: int) -> str:
+    pad = " " * (indent + 2)
+    return _list_text([pad + str(e) for e in mask_to_elements(mask)], indent)
+
+
+class _TermPrefixes(dict):
+    """Text of a term up to its coefficient, per subset mask, made on first use."""
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = _TERM_OPEN + _subset_text(mask, 12) + _COEFF_OPEN
+        return text
+
+
+def _document_pieces(kind: str, n: int, key: str, chains):
+    """Format-v1 text of (start_rank, text of the chain's list) pairs."""
+    yield (f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "kind": "{kind}",\n'
+           f'  "n": {n},\n  "chains": ')
+    sep = "[\n"
+    for start, body in chains:
+        yield f'{sep}    {{\n      "start_rank": {start},\n      "{key}": {body}\n    }}'
+        sep = ",\n"
+    yield "[]\n}\n" if sep == "[\n" else "\n  ]\n}\n"
+
+
+def _sjb_chains(basis: JordanBasis):
+    prefixes = _TermPrefixes()
+    for ch in basis.chains:
+        vectors = ["        " + _list_text([f"{prefixes[mask]}{c}{_TERM_CLOSE}"
+                                            for mask, c in v.items()], 8)
+                   for v in ch.vectors]
+        yield ch.start_rank, _list_text(vectors, 6)
+
+
+def _scd_chains(decomp: ChainDecomposition):
+    for ch in decomp.chains:
+        yield ch.start_rank, _list_text(["        " + _subset_text(s, 8)
+                                         for s in ch.subsets], 6)
+
+
+def _pieces(obj: Serializable):
+    """The document text in pieces; raises TypeError before yielding any."""
+    if isinstance(obj, JordanBasis):
+        return _document_pieces("sjb", obj.n, "vectors", _sjb_chains(obj))
+    if isinstance(obj, ChainDecomposition):
+        return _document_pieces("scd", obj.n, "subsets", _scd_chains(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def serialize(obj: Serializable) -> bytes:
     """Canonical bytes; equal objects yield identical bytes."""
-    return (json.dumps(to_document(obj), indent=2) + "\n").encode("ascii")
+    return "".join(_pieces(obj)).encode("ascii")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -58,25 +124,49 @@ def _require(cond: bool, msg: str) -> None:
         raise DocumentError(msg)
 
 
+# The checks made once per term or subset raise directly instead of calling
+# _require, whose message would be formatted even when the check passes.
+
 def _parse_subset(raw, n: int) -> int:
-    _require(isinstance(raw, list), f"subset must be a list, got {type(raw).__name__}")
-    _require(all(isinstance(e, int) and not isinstance(e, bool) for e in raw),
-             f"subset elements must be integers: {raw!r}")
-    _require(raw == sorted(set(raw)), f"subset must be sorted without repeats: {raw!r}")
+    if not isinstance(raw, list):
+        raise DocumentError(f"subset must be a list, got {type(raw).__name__}")
+    if not all(isinstance(e, int) and not isinstance(e, bool) for e in raw):
+        raise DocumentError(f"subset elements must be integers: {raw!r}")
+    if raw != sorted(set(raw)):
+        raise DocumentError(f"subset must be sorted without repeats: {raw!r}")
     try:
         return elements_to_mask(raw, n)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
 
+def _cached_subset(raw, n: int, masks: dict[tuple[int, ...], int]) -> int:
+    """_parse_subset, run once per distinct list of plain ints.
+
+    1, 1.0 and True are equal as dict keys, so only a list whose elements
+    are all exactly int may use the cache; anything else takes the full
+    check and raises the same DocumentError.
+    """
+    if type(raw) is not list or not all(type(e) is int for e in raw):
+        return _parse_subset(raw, n)
+    key = tuple(raw)
+    mask = masks.get(key)
+    if mask is None:
+        mask = masks[key] = _parse_subset(raw, n)
+    return mask
+
+
 def _parse_coeff(raw) -> int:
-    _require(isinstance(raw, str), f"coeff must be a string, got {type(raw).__name__}")
+    if not isinstance(raw, str):
+        raise DocumentError(f"coeff must be a string, got {type(raw).__name__}")
     try:
         value = int(raw)
     except ValueError:
         raise DocumentError(f"coeff is not a decimal integer: {raw!r}") from None
-    _require(str(value) == raw, f"coeff is not in canonical form: {raw!r}")
-    _require(value != 0, "zero coefficients must not be stored")
+    if str(value) != raw:
+        raise DocumentError(f"coeff is not in canonical form: {raw!r}")
+    if value == 0:
+        raise DocumentError("zero coefficients must not be stored")
     return value
 
 
@@ -94,6 +184,7 @@ def from_document(doc) -> Serializable:
     _require(isinstance(chains_raw, list), "chains must be a list")
 
     if kind == "sjb":
+        masks: dict[tuple[int, ...], int] = {}
         chains = []
         for ci, ch in enumerate(chains_raw):
             _require(isinstance(ch, dict), f"chain {ci} must be an object")
@@ -109,11 +200,13 @@ def from_document(doc) -> Serializable:
                          f"chain {ci} vector {vi}: terms must be a non-empty list")
                 terms = {}
                 for t in terms_raw:
-                    _require(isinstance(t, dict) and set(t) == {"subset", "coeff"},
-                             f"chain {ci} vector {vi}: term must have subset and coeff")
-                    mask = _parse_subset(t["subset"], n)
-                    _require(mask not in terms,
-                             f"chain {ci} vector {vi}: repeated subset {t['subset']!r}")
+                    if not (isinstance(t, dict) and t.keys() == {"subset", "coeff"}):
+                        raise DocumentError(
+                            f"chain {ci} vector {vi}: term must have subset and coeff")
+                    mask = _cached_subset(t["subset"], n, masks)
+                    if mask in terms:
+                        raise DocumentError(
+                            f"chain {ci} vector {vi}: repeated subset {t['subset']!r}")
                     terms[mask] = _parse_coeff(t["coeff"])
                 vectors.append(Vector(n, terms))
             chains.append(JordanChain(n, start, vectors))
@@ -133,24 +226,31 @@ def from_document(doc) -> Serializable:
     return ChainDecomposition(n, chains)
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"not valid JSON: {exc}") from None
+
+
 def deserialize(data: bytes | str) -> Serializable:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from None
-    return from_document(doc)
+    return from_document(_parse_json(data))
 
 
 def save(obj: Serializable, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(obj))
+    """Write the canonical bytes chain by chain, never holding the whole text."""
+    pieces = _pieces(obj)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.writelines(pieces)
 
 
 def load(path) -> Serializable:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    # The file's text is dropped once parsed, before the objects are built.
+    with open(path, encoding="utf-8", newline="") as fh:
+        doc = _parse_json(fh.read())
+    return from_document(doc)
 
 
 def export_up_matrix_csv(n: int, k: int, path) -> None:

@@ -116,14 +116,20 @@ def verify_sjc(chain: JordanChain) -> VerificationReport:
     return report
 
 
-def _rank_matrix(basis: JordanBasis, r: int) -> list[list[int]]:
-    """Coordinate rows of all rank-r basis vectors, in ascending-mask order."""
+def _rank_matrix(basis: JordanBasis, r: int) -> list[list[int]] | None:
+    """Coordinate rows of all rank-r basis vectors, in ascending-mask order.
+
+    None when a vector placed at rank r has a term of another rank.
+    """
     order = {mask: j for j, mask in enumerate(subsets_of_rank(basis.n, r))}
     rows = []
     for _, _, v in basis.vectors_of_rank(r):
         row = [0] * len(order)
         for mask, c in v.items():
-            row[order[mask]] = c
+            j = order.get(mask)
+            if j is None:
+                return None
+            row[j] = c
         rows.append(row)
     return rows
 
@@ -171,12 +177,16 @@ def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> Verification
 
     if check_full_rank:
         for r in range(n + 1):
-            rows = _rank_matrix(basis, r)
-            rank = exact_rank(rows)
+            count = len(basis.vectors_of_rank(r))
             expected = binomial(n, r)
-            # The stack must be square (C(n,r) vectors) and nonsingular.
-            report.add(f"full_rank[r={r}]", len(rows) == expected and rank == expected,
-                       {"rank": r, "vectors": len(rows), "computed_rank": rank,
+            # The stack must be square (C(n,r) vectors of rank r) and
+            # nonsingular.  A stack of the wrong size fails without being
+            # ranked: its matrix has C(n,r) columns however few vectors the
+            # document holds.
+            rows = _rank_matrix(basis, r) if count == expected else None
+            rank = None if rows is None else exact_rank(rows)
+            report.add(f"full_rank[r={r}]", rank == expected,
+                       {"rank": r, "vectors": count, "computed_rank": rank,
                         "expected": expected})
     return report
 

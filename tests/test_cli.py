@@ -1,6 +1,7 @@
 """Command-line surface: subcommand flows and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -184,6 +185,59 @@ def test_export_matrix_command(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 4
     assert main(["export-matrix", "--n", "3", "--k", "3", "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+def _refuse_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated the subsets of an over-cap matrix")
+
+    monkeypatch.setattr("sjb.operators.subsets_of_rank", refuse)
+    monkeypatch.setattr("sjb.cli.up_rank_check", refuse)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["export-matrix", "--n", "40", "--k", "20"], "ground set size must be in 0..24, got 40"),
+    (["export-matrix", "--n", "20", "--k", "10"], "up matrix for n=20, k=10 has"),
+    (["rank", "--n", "24", "--k", "12"], "up matrix for n=24, k=12 has"),
+    (["rank", "--n", "24"], "up matrix for n=24, k=4 has"),
+])
+def test_oversized_up_matrix_exits_2_without_allocating(tmp_path, monkeypatch, capsys,
+                                                        argv, message):
+    _refuse_enumeration(monkeypatch)
+    if argv[0] == "export-matrix":
+        argv = argv + ["--out", str(tmp_path / "m.csv")]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_forged_one_chain_document_fails_fast(tmp_path, capsys):
+    # A 20-element middle subset at n = 40: every per-rank count is wrong,
+    # so no rank may be eliminated over C(40, r) columns.
+    doc = {"format_version": "1", "kind": "sjb", "n": 40, "chains": [
+        {"start_rank": 20, "vectors": [[{"subset": list(range(1, 21)), "coeff": "1"}]]}]}
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 2.0
+    text = capsys.readouterr().out
+    assert "FAIL full_rank[r=20]  witness={'rank': 20, 'vectors': 1, " \
+           "'computed_rank': None, 'expected': 137846528820}" in text
+
+
+def test_verify_off_rank_term_exits_1(tmp_path, capsys):
+    # Right counts, but chain 0's first vector holds {1} at rank 0.
+    doc = json.loads(serialize(build_sjb(2)))
+    doc["chains"][0]["vectors"][0] = [{"subset": [1], "coeff": "1"}]
+    path = tmp_path / "off_rank.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    text = capsys.readouterr().out
+    assert "FAIL full_rank[r=0]  witness={'rank': 0, 'vectors': 1, " \
+           "'computed_rank': None, 'expected': 1}" in text
 
 
 def test_build_all_levels(tmp_path):

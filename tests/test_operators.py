@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sjb.lattice import binomial, rank_of, subsets_of_rank
-from sjb.operators import (down, embed, lift, split_by_top, up, up_matrix)
+from sjb.lattice import CapacityError, binomial, covers_of, rank_of, subsets_of_rank
+from sjb.operators import (UP_MATRIX_MAX_ENTRIES, check_up_matrix_size, down, embed,
+                           lift, split_by_top, up, up_matrix)
 from sjb.vectors import Vector, homogeneous_rank
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
@@ -104,6 +105,28 @@ def test_up_recurrence_on_ground_extension(n, data):
     assert up(lift(v)) == lift(up(v))
 
 
+def up_by_covers(v):
+    """Reference up: one Vector term per cover, summed by the constructor."""
+    return Vector(v.n, [(cover, c) for mask, c in v.items()
+                        for cover in covers_of(mask, v.n)])
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 8), st.data())
+def test_up_matches_covers_reference(n, data):
+    terms = data.draw(st.dictionaries(st.integers(0, (1 << n) - 1),
+                                      st.integers(-(1 << 70), 1 << 70), max_size=12))
+    v = Vector(n, terms)
+    assert up(v) == up_by_covers(v)
+
+
+def test_up_stores_no_cancelled_sums():
+    # up({1,2}) and up({1,3}) meet at {1,2,3} and cancel there; equality
+    # compares the stored terms, so a kept zero would fail it.
+    assert up(Vector(3, {E: 1, 0b011: 1, 0b101: -1})) == Vector(
+        3, {0b001: 1, 0b010: 1, 0b100: 1})
+
+
 def test_lift_is_norm_preserving_injection():
     rng = random.Random(3)
     for n in range(8):
@@ -157,3 +180,21 @@ def test_up_matrix_range_errors():
         up_matrix(3, 3)
     with pytest.raises(ValueError):
         up_matrix(3, -1)
+
+
+def test_up_matrix_cap_admits_n_up_to_14():
+    for n in range(1, 15):
+        for k in range(n):
+            check_up_matrix_size(n, k)
+    assert binomial(14, 7) * binomial(14, 6) <= UP_MATRIX_MAX_ENTRIES
+
+
+def test_up_matrix_over_cap_raises_before_allocating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated subsets of an over-cap matrix")
+
+    monkeypatch.setattr("sjb.operators.subsets_of_rank", no_enumeration)
+    with pytest.raises(CapacityError, match="over the cap"):
+        up_matrix(24, 12)
+    with pytest.raises(CapacityError):
+        up_matrix(40, 20)

@@ -4,9 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sjb.jordan import build_sjb
-from sjb.scd import build_scd
+from sjb.jordan import JordanBasis, JordanChain, build_sjb
+from sjb.scd import ChainDecomposition, SubsetChain, build_scd
+from sjb.vectors import Vector
 from sjb.serialize import (DocumentError, deserialize, export_up_matrix_csv,
                            from_document, load, save, serialize, to_document)
 
@@ -69,6 +72,62 @@ def test_golden_files_byte_stable(n, kind):
     assert serialize(build(n)) == expected
 
 
+def dumps_oracle(obj):
+    """Format v1 as the standard encoder prints the plain-data document."""
+    return (json.dumps(to_document(obj), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_writer_matches_json_dumps(n):
+    assert serialize(build_sjb(n)) == dumps_oracle(build_sjb(n))
+    assert serialize(build_scd(n)) == dumps_oracle(build_scd(n))
+
+
+@pytest.mark.parametrize("obj", [
+    JordanBasis(3, []),
+    JordanBasis(0, []),
+    ChainDecomposition(4, []),
+    ChainDecomposition(0, [SubsetChain(0, [0])]),
+    JordanBasis(2, [JordanChain(2, 1, [Vector.zero(2)])]),
+    JordanBasis(2, [JordanChain(2, 0, [])]),
+    JordanBasis(3, [JordanChain(3, 1, [Vector(3, {0b001: -5, 0b100: 3}),
+                                       Vector(3, {0b011: -(1 << 64) - 7,
+                                                  0b110: (1 << 200) + 1})])]),
+], ids=["no-chains", "no-chains-n0", "scd-no-chains", "scd-n0", "no-terms",
+        "no-vectors", "signed-and-huge"])
+def test_writer_matches_json_dumps_edge_cases(obj):
+    assert serialize(obj) == dumps_oracle(obj)
+
+
+def bases_over(n):
+    """Arbitrary chains of arbitrary vectors; the writer must not assume a basis."""
+    terms = st.dictionaries(st.integers(0, (1 << n) - 1),
+                            st.integers(-(1 << 80), 1 << 80).filter(bool), max_size=6)
+    chain = st.builds(JordanChain, st.just(n), st.integers(0, n),
+                      st.lists(terms.map(lambda t: Vector(n, t)), max_size=3))
+    return st.builds(JordanBasis, st.just(n), st.lists(chain, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(bases_over))
+def test_writer_matches_json_dumps_random(basis):
+    assert serialize(basis) == dumps_oracle(basis)
+
+
+@pytest.mark.parametrize("obj", [build_sjb(7), build_scd(7), JordanBasis(1, [])])
+def test_save_writes_serialize_bytes(tmp_path, obj):
+    path = tmp_path / "doc.json"
+    save(obj, path)
+    assert path.read_bytes() == serialize(obj)
+
+
+def test_save_rejects_other_objects_before_opening(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        save({"n": 1}, path)
+    assert not path.exists()
+
+
 def test_save_load(tmp_path):
     basis = build_sjb(4)
     path = tmp_path / "b.json"
@@ -112,6 +171,22 @@ def test_rejects_malformed_subsets():
         doc["chains"][0]["vectors"][0][0]["subset"] = bad
         with pytest.raises(DocumentError):
             from_document(doc)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([True], "subset elements must be integers: [True]"),
+    ([1.0], "subset elements must be integers: [1.0]"),
+    ([1, 1], "subset must be sorted without repeats: [1, 1]"),
+])
+def test_cached_subset_does_not_admit_equal_lookalikes(bad, message):
+    # Chain 0 holds the valid subset [1] first; 1, 1.0 and True are equal
+    # as keys, so a later lookalike must still take the full check.
+    doc = _valid_doc()
+    assert doc["chains"][0]["vectors"][1][0]["subset"] == [1]
+    doc["chains"][1]["vectors"][0][0]["subset"] = bad
+    with pytest.raises(DocumentError) as exc:
+        from_document(doc)
+    assert str(exc.value) == message
 
 
 def test_rejects_repeated_subset_in_vector():

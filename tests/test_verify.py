@@ -89,6 +89,29 @@ def test_verify_sjb_duplicated_chain_fails_with_witness():
     assert rank_fail.witness["vectors"] != rank_fail.witness["expected"]
 
 
+def test_full_rank_ranks_only_stacks_of_the_right_size(monkeypatch):
+    import sjb.verify
+    ranked = []
+
+    def spy(rows):
+        ranked.append(len(rows))
+        return real(rows)
+
+    real = sjb.verify.exact_rank
+    monkeypatch.setattr(sjb.verify, "exact_rank", spy)
+    assert verify_sjb(build_sjb(4)).overall
+    assert ranked == [binomial(4, r) for r in range(5)]
+
+    ranked.clear()
+    basis = build_sjb(4)
+    basis.chains.pop()  # the last chain is a single vector at rank 2
+    report = verify_sjb(basis)
+    assert ranked == [1, 4, 4, 1]
+    failed = {c.name: c.witness for c in report.failures()}
+    assert failed["full_rank[r=2]"] == {"rank": 2, "vectors": 5, "computed_rank": None,
+                                        "expected": 6}
+
+
 def test_verify_sjb_empty_basis_fails_count():
     report = verify_sjb(JordanBasis(0, []))
     assert not report.overall
