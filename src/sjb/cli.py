@@ -16,7 +16,7 @@ from .lattice import CapacityError, binomial, check_ground_size
 from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, build_scd, chain_length_profile, chain_length_sequence
 from .serialize import DocumentError, export_up_matrix_csv, load, save
-from .verify import (check_orthogonality, check_ratio_uniformity, ratio_profile,
+from .verify import (check_orthogonality, check_ratio_uniformity, ratio_groups,
                      up_rank_check, verify_scd, verify_sjb, verify_sjc)
 
 SJB_CHECKS = ("sjc", "basis", "ortho", "ratios")
@@ -180,15 +180,10 @@ def _cmd_profile(args) -> int:
     if not isinstance(obj, JordanBasis):
         print("error: profile applies only to sjb documents", file=sys.stderr)
         return 2
-    by_start: dict[int, list[tuple[int, list]]] = {}
-    for ci, ch in enumerate(obj.chains):
-        prof = ratio_profile(ch)
-        by_start.setdefault(ch.start_rank, []).append((ci, prof.ratios))
     ok = True
-    for k in sorted(by_start):
-        group = by_start[k]
-        ref = group[0][1]
-        uniform = all(ratios == ref for _, ratios in group)
+    for k, group in ratio_groups(obj).items():
+        ref = group[0][1].ratios
+        uniform = all(prof.ratios == ref for _, prof in group)
         ok = ok and uniform
         shown = " ".join(str(r) for r in ref) if ref else "(single vector)"
         print(f"start_rank {k}: chains={len(group)} ratios: {shown}"

@@ -32,11 +32,8 @@ def up(v: Vector) -> Vector:
             if not mask & bit:
                 cover = mask | bit
                 acc[cover] = get(cover, 0) + c
-    out = Vector.__new__(Vector)
-    out.n = v.n
     # Sums that cancelled are dropped once, after all terms are in.
-    out._terms = {cover: s for cover, s in acc.items() if s}
-    return out
+    return Vector._from_terms(v.n, {cover: s for cover, s in acc.items() if s})
 
 
 def down(v: Vector) -> Vector:
@@ -49,20 +46,14 @@ def down(v: Vector) -> Vector:
                 del acc[sub]
             else:
                 acc[sub] = s
-    out = Vector.__new__(Vector)
-    out.n = v.n
-    out._terms = acc
-    return out
+    return Vector._from_terms(v.n, acc)
 
 
 def embed(v: Vector, n: int) -> Vector:
     """Relabel a vector over a larger ground set; masks are unchanged."""
     if n < v.n:
         raise ValueError(f"cannot embed ground set {v.n} into smaller {n}")
-    out = Vector.__new__(Vector)
-    out.n = n
-    out._terms = dict(v._terms)
-    return out
+    return Vector._from_terms(n, dict(v._terms))
 
 
 def lift(v: Vector) -> Vector:
@@ -71,10 +62,7 @@ def lift(v: Vector) -> Vector:
     An isomorphism onto the span of subsets containing n+1.
     """
     top = 1 << v.n
-    out = Vector.__new__(Vector)
-    out.n = v.n + 1
-    out._terms = {mask | top: c for mask, c in v._terms.items()}
-    return out
+    return Vector._from_terms(v.n + 1, {mask | top: c for mask, c in v._terms.items()})
 
 
 def split_by_top(v: Vector) -> tuple[Vector, Vector]:
@@ -90,13 +78,7 @@ def split_by_top(v: Vector) -> tuple[Vector, Vector]:
     t1: dict[int, int] = {}
     for mask, c in v._terms.items():
         (t1 if mask & top else t0)[mask] = c
-    v0 = Vector.__new__(Vector)
-    v0.n = v.n
-    v0._terms = t0
-    v1 = Vector.__new__(Vector)
-    v1.n = v.n
-    v1._terms = t1
-    return v0, v1
+    return Vector._from_terms(v.n, t0), Vector._from_terms(v.n, t1)
 
 
 @dataclass

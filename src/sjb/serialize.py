@@ -2,7 +2,7 @@
 
 Documents are JSON with a fixed key order, two-space indent, and a
 trailing newline, so equal objects serialize to byte-identical files.
-They are written as text directly, chain by chain, so save() holds one
+They are written and read chain by chain, so save() and load() hold one
 chain's text at a time, never the whole document.
 Subsets appear as sorted 1-indexed element lists and coefficients as
 decimal strings, keeping files readable and safe for any consumer's
@@ -12,7 +12,9 @@ integer width.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from typing import Union
 
 from .jordan import JordanBasis, JordanChain
@@ -140,22 +142,6 @@ def _parse_subset(raw, n: int) -> int:
         raise DocumentError(str(exc)) from None
 
 
-def _cached_subset(raw, n: int, masks: dict[tuple[int, ...], int]) -> int:
-    """_parse_subset, run once per distinct list of plain ints.
-
-    1, 1.0 and True are equal as dict keys, so only a list whose elements
-    are all exactly int may use the cache; anything else takes the full
-    check and raises the same DocumentError.
-    """
-    if type(raw) is not list or not all(type(e) is int for e in raw):
-        return _parse_subset(raw, n)
-    key = tuple(raw)
-    mask = masks.get(key)
-    if mask is None:
-        mask = masks[key] = _parse_subset(raw, n)
-    return mask
-
-
 def _parse_coeff(raw) -> int:
     if not isinstance(raw, str):
         raise DocumentError(f"coeff must be a string, got {type(raw).__name__}")
@@ -170,65 +156,150 @@ def _parse_coeff(raw) -> int:
     return value
 
 
-def from_document(doc) -> Serializable:
-    """Rebuild a basis or decomposition, validating the schema."""
+def _build(doc, chains) -> Serializable:
+    """Check doc's header, then build the chains given (doc's if None) one by one."""
     _require(isinstance(doc, dict), "document must be an object")
     _require(doc.get("format_version") == FORMAT_VERSION,
              f"unsupported format_version {doc.get('format_version')!r}")
-    kind = doc.get("kind")
+    kind, n = doc.get("kind"), doc.get("n")
     _require(kind in ("sjb", "scd"), f"unknown kind {kind!r}")
-    n = doc.get("n")
     _require(isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= 63,
              f"n must be an integer in 0..63, got {n!r}")
-    chains_raw = doc.get("chains")
-    _require(isinstance(chains_raw, list), "chains must be a list")
-
-    if kind == "sjb":
-        masks: dict[tuple[int, ...], int] = {}
-        chains = []
-        for ci, ch in enumerate(chains_raw):
-            _require(isinstance(ch, dict), f"chain {ci} must be an object")
-            start = ch.get("start_rank")
-            _require(isinstance(start, int) and not isinstance(start, bool)
-                     and 0 <= start <= n, f"chain {ci}: bad start_rank {start!r}")
-            vectors_raw = ch.get("vectors")
-            _require(isinstance(vectors_raw, list) and vectors_raw,
-                     f"chain {ci}: vectors must be a non-empty list")
-            vectors = []
-            for vi, terms_raw in enumerate(vectors_raw):
-                _require(isinstance(terms_raw, list) and terms_raw,
-                         f"chain {ci} vector {vi}: terms must be a non-empty list")
-                terms = {}
-                for t in terms_raw:
-                    if not (isinstance(t, dict) and t.keys() == {"subset", "coeff"}):
-                        raise DocumentError(
-                            f"chain {ci} vector {vi}: term must have subset and coeff")
-                    mask = _cached_subset(t["subset"], n, masks)
-                    if mask in terms:
-                        raise DocumentError(
-                            f"chain {ci} vector {vi}: repeated subset {t['subset']!r}")
-                    terms[mask] = _parse_coeff(t["coeff"])
-                vectors.append(Vector(n, terms))
-            chains.append(JordanChain(n, start, vectors))
-        return JordanBasis(n, chains)
-
-    chains = []
-    for ci, ch in enumerate(chains_raw):
+    if chains is None:
+        chains = doc.get("chains")
+        _require(isinstance(chains, list), "chains must be a list")
+    key = "vectors" if kind == "sjb" else "subsets"
+    # Each distinct subset list and coefficient string is checked once.
+    built, masks, coeffs = [], {}, {}
+    for ci, ch in enumerate(chains):
         _require(isinstance(ch, dict), f"chain {ci} must be an object")
         start = ch.get("start_rank")
         _require(isinstance(start, int) and not isinstance(start, bool)
                  and 0 <= start <= n, f"chain {ci}: bad start_rank {start!r}")
-        subsets_raw = ch.get("subsets")
-        _require(isinstance(subsets_raw, list) and subsets_raw,
-                 f"chain {ci}: subsets must be a non-empty list")
-        subsets = [_parse_subset(s, n) for s in subsets_raw]
-        chains.append(SubsetChain(n, subsets))
-    return ChainDecomposition(n, chains)
+        items = ch.get(key)
+        _require(isinstance(items, list) and items,
+                 f"chain {ci}: {key} must be a non-empty list")
+        if kind == "scd":
+            built.append(SubsetChain(n, [_parse_subset(s, n) for s in items]))
+            continue
+        vectors = []
+        for vi, terms_raw in enumerate(items):
+            where = f"chain {ci} vector {vi}"
+            _require(isinstance(terms_raw, list) and terms_raw,
+                     f"{where}: terms must be a non-empty list")
+            terms = {}
+            for t in terms_raw:
+                if not (isinstance(t, dict) and t.keys() == {"subset", "coeff"}):
+                    raise DocumentError(f"{where}: term must have subset and coeff")
+                raw, c = t["subset"], t["coeff"]
+                # Keyed by repr, since 1, 1.0 and True are equal as dict keys.
+                mask = masks.get(repr(raw) if type(raw) is list else None)
+                if mask is None:
+                    mask = masks[repr(raw)] = _parse_subset(raw, n)
+                if mask in terms:
+                    raise DocumentError(f"{where}: repeated subset {raw!r}")
+                value = coeffs.get(c) if type(c) is str else None
+                if value is None:
+                    value = coeffs[c] = _parse_coeff(c)
+                terms[mask] = value
+            vectors.append(Vector._from_terms(n, terms))  # checked above
+        built.append(JordanChain(n, start, vectors))
+    return JordanBasis(n, built) if kind == "sjb" else ChainDecomposition(n, built)
 
 
-def _parse_json(text: str):
+def from_document(doc) -> Serializable:
+    """Rebuild a basis or decomposition, validating the schema."""
+    return _build(doc, None)
+
+
+_BLOCK = 1 << 20  # characters read from the file at a time
+_DECODER = json.JSONDecoder()
+
+
+class _NotAnObject(Exception):
+    """The text is not a JSON object, or not JSON at all."""
+
+
+class _Reader:
+    """JSON tokens of a text file read a block at a time; each refill drops
+    what has been consumed, so the buffer holds a block and one value."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos = fh, "", 0
+
+    def _fill(self) -> bool:
+        # Reading at least what is left keeps re-decoding long values linear.
+        block = self.fh.read(max(_BLOCK, len(self.buf) - self.pos))
+        self.buf, self.pos = self.buf[self.pos:] + block, 0
+        return bool(block)
+
+    def peek(self) -> str:
+        """The next non-whitespace character, or "" at the end of the file."""
+        while True:
+            self.pos = json.decoder.WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self._fill():
+                return self.buf[self.pos:self.pos + 1]
+
+    def take(self, chars: str) -> str:
+        c = self.peek()
+        if not c or c not in chars:
+            raise _NotAnObject
+        self.pos += 1
+        return c
+
+    def value(self):
+        """The next value, taken only once a delimiter follows it: a number
+        cut at the end of the buffer (1|1, 1e|5) is decoded again in full."""
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError:
+                end = len(self.buf)
+            if end < len(self.buf) and self.buf[end] in " \t\n\r,:]}":
+                self.pos = end
+                return value
+            if not self._fill():
+                raise _NotAnObject
+
+    def members(self, close: str):
+        """Yield once per member of the object or array just opened."""
+        sep = "," if self.peek() != close else self.take(close)
+        while sep == ",":
+            yield
+            sep = self.take("," + close)
+
+
+def _read(fh) -> Serializable:
+    """Walk the top-level object, building each chain as it is decoded."""
+    reader = _Reader(fh)
     try:
-        return json.loads(text)
+        reader.take("{")
+        doc, result = {}, None
+        for _ in reader.members("}"):
+            if reader.peek() != '"':
+                raise _NotAnObject
+            key = reader.value()
+            # json.loads keeps the last of repeated keys; streamed chains cannot.
+            _require(key not in doc, f"repeated top-level key {key!r}")
+            reader.take(":")
+            if (key == "chains" and {"format_version", "kind", "n"} <= doc.keys()
+                    and reader.peek() == "["):
+                reader.take("[")
+                chains = (reader.value() for _ in reader.members("]"))
+                result = doc[key] = _build(doc, chains)
+            else:
+                doc[key] = reader.value()
+        if reader.peek():
+            raise _NotAnObject
+        return from_document(doc) if result is None else result
+    except _NotAnObject:
+        fh.seek(0)
+        text = fh.read()
+    # Decoded whole, errors read as json.loads reports them, with positions
+    # in the file, and a value that is not an object fails the schema.
+    try:
+        return from_document(json.loads(text))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
 
@@ -236,21 +307,27 @@ def _parse_json(text: str):
 def deserialize(data: bytes | str) -> Serializable:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return from_document(_parse_json(data))
+    return _read(io.StringIO(data, newline=""))
 
 
 def save(obj: Serializable, path) -> None:
-    """Write the canonical bytes chain by chain, never holding the whole text."""
+    """Stream the canonical text to a file beside path, then move it onto path."""
     pieces = _pieces(obj)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.writelines(pieces)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="ascii", newline="")
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load(path) -> Serializable:
-    # The file's text is dropped once parsed, before the objects are built.
+    """Read a document chain by chain, holding one block of its text."""
     with open(path, encoding="utf-8", newline="") as fh:
-        doc = _parse_json(fh.read())
-    return from_document(doc)
+        return _read(fh)
 
 
 def export_up_matrix_csv(n: int, k: int, path) -> None:

@@ -41,6 +41,13 @@ class Vector:
         self._terms = acc
 
     @classmethod
+    def _from_terms(cls, n: int, terms: dict[int, int]) -> "Vector":
+        """Wrap terms the caller has checked: nonzero, masks below 2^n."""
+        out = cls.__new__(cls)
+        out.n, out._terms = n, terms
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "Vector":
         return cls(n)
 
@@ -90,10 +97,7 @@ class Vector:
                 acc.pop(mask, None)
             else:
                 acc[mask] = s
-        out = Vector.__new__(Vector)
-        out.n = self.n
-        out._terms = acc
-        return out
+        return Vector._from_terms(self.n, acc)
 
     def __sub__(self, other: "Vector") -> "Vector":
         if not isinstance(other, Vector):
@@ -106,10 +110,8 @@ class Vector:
     def __mul__(self, c: int) -> "Vector":
         if not isinstance(c, int):
             return NotImplemented
-        out = Vector.__new__(Vector)
-        out.n = self.n
-        out._terms = {} if c == 0 else {m: c * v for m, v in self._terms.items()}
-        return out
+        return Vector._from_terms(
+            self.n, {} if c == 0 else {m: c * v for m, v in self._terms.items()})
 
     __rmul__ = __mul__
 

@@ -228,6 +228,14 @@ def ratio_profile(chain: JordanChain) -> RatioProfile:
                         [Fraction(norms[i + 1], norms[i]) for i in range(len(norms) - 1)])
 
 
+def ratio_groups(basis: JordanBasis) -> dict[int, list[tuple[int, RatioProfile]]]:
+    """(chain index, ratio profile) of every chain, by start rank, ascending."""
+    by_start: dict[int, list[tuple[int, RatioProfile]]] = {}
+    for ci, ch in enumerate(basis.chains):
+        by_start.setdefault(ch.start_rank, []).append((ci, ratio_profile(ch)))
+    return dict(sorted(by_start.items()))
+
+
 def check_ratio_uniformity(basis: JordanBasis) -> VerificationReport:
     """Chains sharing a start rank have identical squared-norm ratio profiles.
 
@@ -235,11 +243,7 @@ def check_ratio_uniformity(basis: JordanBasis) -> VerificationReport:
     chain by a nonzero scalar.
     """
     report = VerificationReport(f"ratio uniformity n={basis.n}")
-    by_start: dict[int, list[tuple[int, RatioProfile]]] = {}
-    for ci, ch in enumerate(basis.chains):
-        by_start.setdefault(ch.start_rank, []).append((ci, ratio_profile(ch)))
-    for k in sorted(by_start):
-        group = by_start[k]
+    for k, group in ratio_groups(basis).items():
         ref_ci, ref = group[0]
         witness = None
         for ci, prof in group[1:]:

@@ -159,6 +159,33 @@ def test_profile_command(tmp_path, capsys):
     assert "start_rank 0" in text and "PASS" in text
 
 
+PROFILE_N6 = """\
+start_rank 0: chains=1 ratios: 6 10 12 12 10 6
+start_rank 1: chains=5 ratios: 4 6 6 4{mark}
+start_rank 2: chains=9 ratios: 2 2
+start_rank 3: chains=5 ratios: (single vector)
+profiles uniform within each start rank: {verdict}
+"""
+
+
+def test_profile_stdout_pinned(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    save(build_sjb(6), out)
+    assert main(["profile", str(out)]) == 0
+    assert capsys.readouterr().out == PROFILE_N6.format(mark="", verdict="PASS")
+
+    # Tripling the top vector of the second start-rank-1 chain breaks its
+    # last ratio; the group still shows the first chain's profile.
+    doc = json.loads(serialize(build_sjb(6)))
+    chain = [ch for ch in doc["chains"] if ch["start_rank"] == 1][1]
+    for term in chain["vectors"][-1]:
+        term["coeff"] = str(3 * int(term["coeff"]))
+    out.write_text(json.dumps(doc))
+    assert main(["profile", str(out)]) == 1
+    assert capsys.readouterr().out == PROFILE_N6.format(mark="  [NOT UNIFORM]",
+                                                        verdict="FAIL")
+
+
 def test_profile_rejects_scd(tmp_path, capsys):
     out = tmp_path / "d.json"
     save(build_scd(3), out)

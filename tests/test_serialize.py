@@ -1,6 +1,9 @@
 """Canonical documents: round trips, golden files, schema rejection."""
 
+import importlib
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ from sjb.serialize import (DocumentError, deserialize, export_up_matrix_csv,
                            from_document, load, save, serialize, to_document)
 
 GOLDEN = Path(__file__).parent / "golden"
+# The package re-exports the function serialize under the module's name.
+serialize_module = importlib.import_module("sjb.serialize")
 
 
 def test_document_n0():
@@ -250,3 +255,221 @@ def test_export_up_matrix_csv(tmp_path):
 def test_export_rejects_bad_rank(tmp_path):
     with pytest.raises(ValueError):
         export_up_matrix_csv(2, 2, tmp_path / "x.csv")
+
+
+# The streamed reader against its oracle, from_document(json.loads(text)).
+
+def oracle(text: str):
+    """The object from_document(json.loads(text)) builds, or its DocumentError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return DocumentError(f"not valid JSON: {exc}")
+    try:
+        return from_document(doc)
+    except DocumentError as exc:
+        return exc
+
+
+def streamed(text: str):
+    try:
+        return deserialize(text)
+    except DocumentError as exc:
+        return exc
+
+
+def repeats_top_level_key(text: str) -> bool:
+    """Whether valid JSON text repeats a key of its top-level object."""
+    pairs = json.loads(text, object_pairs_hook=lambda pairs: pairs)
+    keys = [k for k, _ in pairs] if isinstance(pairs, list) else []
+    return len(keys) != len(set(keys))
+
+
+def assert_matches_oracle(text: str, same_message: bool = True):
+    want, got = oracle(text), streamed(text)
+    if str(got).startswith("repeated top-level key"):
+        # json.loads keeps the last value; the stream refuses the document.
+        assert isinstance(got, DocumentError)
+        assert str(want).startswith("not valid JSON") or repeats_top_level_key(text)
+    elif isinstance(want, DocumentError):
+        assert isinstance(got, DocumentError), (text, got)
+        # A text invalid both as JSON and in its schema may report either.
+        if same_message or str(got).startswith("not valid JSON"):
+            assert str(got) == str(want), text
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def layouts(obj) -> list[str]:
+    """The same document as canonical, compact, key-sorted (chains first),
+    CRLF and padded text, and with unknown keys around the chains."""
+    doc = to_document(obj)
+    extra = {"note": {"chains": [1, 2]}, **doc, "trailer": [1.5e3, None, True, "}"]}
+    return [serialize(obj).decode(),
+            json.dumps(doc, separators=(",", ":")),
+            json.dumps(doc, sort_keys=True),
+            serialize(obj).decode().replace("\n", "\r\n"),
+            " \t\n" + json.dumps(doc) + " \n\n",
+            json.dumps(extra)]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_stream_matches_oracle_sjb(n):
+    for text in layouts(build_sjb(n)):
+        assert_matches_oracle(text)
+        assert deserialize(text) == build_sjb(n)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_stream_matches_oracle_scd(n):
+    for text in layouts(build_scd(n)):
+        assert_matches_oracle(text)
+        assert deserialize(text) == build_scd(n)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_stream_matches_oracle_goldens(path):
+    assert_matches_oracle(path.read_text())
+    assert load(path) == oracle(path.read_text())
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_stream_refills_inside_tokens(monkeypatch, block):
+    # Refills land inside numbers ("n": 1|0), strings, keys and literals.
+    monkeypatch.setattr(serialize_module, "_BLOCK", block)
+    for obj in (build_sjb(5), build_scd(10), JordanBasis(12, [])):
+        for text in layouts(obj):
+            assert_matches_oracle(text)
+    assert_matches_oracle('{"n": 1e1, "kind": "sjb", "format_version": "1", "chains": []}')
+    assert_matches_oracle('{"format_version": "1", "kind": "sjb", "n": 10, "chains": {}}')
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "[]", '"sjb"', "12", "null", "true", "[1, 2", "{", "{}", "{} {}",
+    '{"a": 1,}', '{"a" 1}', "{1: 2}", '{"a": 1} x', '\ufeff{"a": 1}', "{'a': 1}",
+    '{"a": 1, "a": 2}', '{"chains": [], "chains": []}',
+    '{"format_version": "1", "kind": "sjb", "n": 1, "chains": [], "n": 1}',
+    '{"format_version": "1", "kind": "sjb", "n": 0, "chains": [,]}',
+    '{"format_version": "1", "kind": "sjb", "n": 0, "chains": [{"start_rank": 0,}]}',
+    '{"format_version": "1", "kind": "sjb", "n": 0, "chains": [] ]}',
+    '{"format_version": "1", "kind": "sjb", "n": 0, "chains": []}}',
+    '{"format_version": "1", "kind": "sjb", "n": 0, "chains": "[]"}',
+    '{"format_version": "2", "kind": "sjb", "n": 0, "chains": []}',
+    '{"format_version": "1", "kind": "sjb", "n": 64, "chains": []}',
+    '{"format_version": "1", "kind": "sjb", "n": 01, "chains": []}',
+], ids=repr)
+def test_stream_matches_oracle_on_malformed_text(text):
+    assert_matches_oracle(text)
+
+
+def test_schema_error_may_precede_json_error():
+    # Chain 0 is built, and refused, before the stray comma is reached.
+    text = '{"format_version": "1", "kind": "sjb", "n": 0, "chains": [1,]}'
+    assert str(oracle(text)) == "not valid JSON: Expecting value: line 1 column 61 (char 60)"
+    assert str(streamed(text)) == "chain 0 must be an object"
+
+
+@pytest.mark.parametrize("tail", ["x", "{}", "]", ",", "\n}", "\u00e9"])
+def test_trailing_garbage_is_not_valid_json(tail):
+    text = serialize(build_sjb(3)).decode() + tail
+    assert str(streamed(text)).startswith("not valid JSON: Extra data")
+    assert_matches_oracle(text)
+
+
+@pytest.mark.parametrize("block", [3, 1 << 20])
+def test_every_truncation_raises_json_error(monkeypatch, block):
+    monkeypatch.setattr(serialize_module, "_BLOCK", block)
+    text = serialize(build_sjb(3)).decode().rstrip()
+    for cut in range(len(text)):
+        got = streamed(text[:cut])
+        assert isinstance(got, DocumentError), cut
+        assert str(got) == str(oracle(text[:cut])), cut
+
+
+def test_repeated_top_level_key_is_rejected(tmp_path, capsys):
+    text = '{"format_version": "1", "kind": "scd", "kind": "sjb", "n": 0, "chains": []}'
+    assert isinstance(oracle(text), JordanBasis)  # json.loads keeps the last
+    with pytest.raises(DocumentError, match="repeated top-level key 'kind'"):
+        deserialize(text)
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    from sjb.cli import main
+    assert main(["verify", str(path)]) == 2
+    assert "repeated top-level key 'kind'" in capsys.readouterr().err
+
+
+def test_json_error_reports_file_positions(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialize_module, "_BLOCK", 64)
+    text = serialize(build_sjb(5)).decode()
+    cut = text.rindex('"coeff"')
+    bad = text[:cut] + "coeff" + text[cut + 7:]
+    path = tmp_path / "bad.json"
+    path.write_text(bad)
+    with pytest.raises(DocumentError) as exc:
+        load(path)
+    assert str(exc.value) == str(oracle(bad))
+    assert f"(char {cut})" in str(exc.value)
+
+
+MUTATION_CHARS = '{}[],:"0123456789-.e tnrufalsjbc\n\\'
+
+
+def small_documents():
+    return [serialize(obj).decode() for obj in (build_sjb(2), build_scd(2))]
+
+
+@st.composite
+def mutated_documents(draw):
+    text = draw(st.sampled_from(small_documents()))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        c = draw(st.sampled_from(MUTATION_CHARS))
+        if op == "insert":
+            text = text[:i] + c + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + c + text[i + 1:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents(), st.sampled_from([1, 5, 1 << 20]))
+def test_stream_matches_oracle_on_mutated_documents(text, block):
+    old = serialize_module._BLOCK
+    serialize_module._BLOCK = block
+    try:
+        assert_matches_oracle(text, same_message=False)
+    finally:
+        serialize_module._BLOCK = old
+
+
+def test_load_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
+    # The parent's json.loads of the whole file peaked near 3x its size.
+    path = tmp_path / "b9.json"
+    save(build_sjb(9), path)
+    monkeypatch.setattr(serialize_module, "_BLOCK", 1 << 16)
+    tracemalloc.start()
+    try:
+        basis = load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.n == 9 and len(basis.chains) == 126
+    assert peak < path.stat().st_size / 2
+
+
+def test_save_failure_leaves_target_untouched(tmp_path):
+    # str() of a coefficient past 4,300 digits raises midway through writing.
+    huge = JordanBasis(1, [JordanChain(1, 0, [Vector(1, {0b0: 1}), Vector(1, {0b1: 1})]),
+                           JordanChain(1, 1, [Vector(1, {0b1: 10 ** 5000})])])
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        save(huge, path)
+    assert os.listdir(tmp_path) == []
+    save(build_sjb(2), path)
+    with pytest.raises(ValueError):
+        save(huge, path)
+    assert os.listdir(tmp_path) == ["doc.json"]
+    assert path.read_bytes() == serialize(build_sjb(2))
