@@ -2,9 +2,7 @@
 subset lattice, built inductively and verified with exact arithmetic."""
 
 from .elimination import exact_rank
-from .jordan import (CaseError, JordanBasis, JordanChain, build_sjb,
-                     build_sjb_levels, case_b_determinant, extend_case_a,
-                     extend_case_b)
+from .jordan import JordanBasis, JordanChain, build_sjb
 from .lattice import (CapacityError, binomial, covered_by, covers_of,
                       mask_to_elements, elements_to_mask, rank_of,
                       subset_str, subsets_of_rank)
@@ -29,8 +27,7 @@ __all__ = [
     "binomial", "subsets_of_rank", "covers_of", "covered_by", "rank_of",
     "mask_to_elements", "elements_to_mask", "subset_str", "CapacityError",
     "up", "down", "lift", "embed", "split_by_top", "up_matrix", "UpMatrix",
-    "JordanChain", "JordanBasis", "build_sjb", "build_sjb_levels",
-    "extend_case_a", "extend_case_b", "case_b_determinant", "CaseError",
+    "JordanChain", "JordanBasis", "build_sjb",
     "SubsetChain", "ChainDecomposition", "build_scd",
     "chain_length_profile", "chain_length_sequence",
     "exact_rank",

@@ -11,7 +11,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .jordan import JordanBasis, build_sjb, build_sjb_levels
+from .jordan import JordanBasis, build_sjb
 from .lattice import CapacityError, binomial, check_ground_size
 from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, build_scd, chain_length_profile, chain_length_sequence
@@ -71,24 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
+    if args.all_levels and "{n}" not in args.out:
+        print("error: --all-levels requires an --out template containing {n}",
+              file=sys.stderr)
+        return 2
+    check_ground_size(args.n, args.cap)
     builder = build_sjb if args.kind == "sjb" else build_scd
-    if args.all_levels:
-        if "{n}" not in args.out:
-            print("error: --all-levels requires an --out template containing {n}",
-                  file=sys.stderr)
-            return 2
-        if args.kind == "sjb":
-            levels = build_sjb_levels(args.n, cap=args.cap)
-        else:
-            levels = [build_scd(m, cap=args.cap) for m in range(args.n + 1)]
-        for m, obj in enumerate(levels):
-            path = args.out.format(n=m)
-            save(obj, path)
-            print(f"wrote {path} (kind={args.kind}, n={m}, chains={len(obj.chains)})")
-        return 0
-    obj = builder(args.n, cap=args.cap)
-    save(obj, args.out)
-    print(f"wrote {args.out} (kind={args.kind}, n={args.n}, chains={len(obj.chains)})")
+    for m in range(args.n + 1) if args.all_levels else [args.n]:
+        obj = builder(m, cap=args.cap)
+        path = args.out.format(n=m) if args.all_levels else args.out
+        save(obj, path)
+        print(f"wrote {path} (kind={args.kind}, n={m}, chains={len(obj.chains)})")
     return 0
 
 

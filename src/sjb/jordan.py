@@ -5,20 +5,21 @@ vectors v_k, ..., v_{n-k} with up(v_l) = v_{l+1}, up(v_{n-k}) = 0, and
 ranks symmetric about n/2.  An SJB is a basis of the whole space that is
 a disjoint union of SJCs.
 
-The build goes one ground element at a time.  Each chain of the basis
-for {1..n} yields chains for {1..n+1}:
+The build adds one ground element at a time by a single recursion.  A
+chain x_k..x_{m-k} over {1..m} has two children over {1..m+1}, the
+extended chain
+    y_l = x_l + (l-k) * lift(x_{l-1})        for l = k .. m+1-k
+and, when it holds at least two vectors, the shortened chain
+    z_l = (m-k-l+1) * lift(x_{l-1}) - x_l    for l = k+1 .. m-k,
+reading x_{k-1} = x_{m+1-k} = 0.  A single middle-rank vector x (2k = m)
+has only the y child, (x, lift(x)); the paper calls this case (a).
 
-  case (a), a single middle-rank vector x (2k = n): emit (x, lift(x)).
-
-  case (b), a longer chain x_k..x_{n-k}: emit the extended chain
-    y_l = x_l + (l-k) * lift(x_{l-1})        for l = k .. n+1-k
-  and the shortened chain
-    z_l = (n-k-l+1) * lift(x_{l-1}) - x_l    for l = k+1 .. n-k,
-  reading x_{k-1} = x_{n+1-k} = 0.
-
-Emission order (parents in stored order; y before z) is fixed so output
-is canonical.  Coefficients are kept exactly as constructed: rescaling
-any single vector would break the up-links.
+Every chain over {1..n} is thus a word over {y, z}, one letter per
+ground element, grown from the empty set.  Chains are emitted in
+depth-first word order, y before z, which is the order a level-by-level
+build gives (parents in stored order, y before z), so output is
+canonical.  Coefficients are kept exactly as constructed: rescaling any
+single vector would break the up-links.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lattice import check_ground_size
-from .operators import embed, lift
 from .vectors import Vector
-
-
-class CaseError(ValueError):
-    """Chain shape does not match the requested extension."""
 
 
 @dataclass
@@ -76,90 +72,35 @@ class JordanBasis:
         return f"JordanBasis(n={self.n}, chains={len(self.chains)})"
 
 
-def base_basis() -> JordanBasis:
-    """The basis for the empty ground set: one chain holding the empty set."""
-    return JordanBasis(0, [JordanChain(0, 0, [Vector.unit(0, 0)])])
-
-
-def case_b_determinant(n: int, k: int, l: int) -> int:
-    """Determinant showing y_l and z_l are independent combinations.
-
-    The pair (y_l, z_l) expresses (x_l, lift(x_{l-1})) through the matrix
-    [[1, l-k], [-1, n-k-l+1]], whose determinant is n - 2k + 1
-    independently of l.
-    """
-    if not k + 1 <= l <= n - k:
-        raise ValueError(f"position must be in {k + 1}..{n - k}, got {l}")
-    det = (n - k - l + 1) + (l - k)
-    assert det == n - 2 * k + 1 and det > 0, "chain extension became singular"
-    return det
-
-
-def extend_case_a(chain: JordanChain) -> JordanChain:
-    """Extend a single-vector middle chain: (x,) over n -> (x, lift(x)) over n+1."""
-    n, k = chain.n, chain.start_rank
-    if chain.length != 1 or 2 * k != n:
-        raise CaseError(
-            f"case (a) needs a single vector at rank n/2, got length "
-            f"{chain.length} at start rank {k} over n={n}")
-    x = chain.vectors[0]
-    return JordanChain(n + 1, k, [embed(x, n + 1), lift(x)])
-
-
-def extend_case_b(chain: JordanChain) -> tuple[JordanChain, JordanChain]:
-    """Extend a chain with start rank below n/2 into a longer and a shorter chain."""
-    n, k = chain.n, chain.start_rank
-    if 2 * k == n:
-        raise CaseError(f"chain at middle rank {k} of n={n} belongs to case (a)")
-    m = n + 1
-    zero = Vector.zero(n)
-
-    def x(l: int) -> Vector:
-        # Out-of-range positions read as the zero vector.
-        if k <= l <= n - k:
-            return chain.vectors[l - k]
-        return zero
-
-    ys = []
-    for l in range(k, m - k + 1):
-        ys.append(embed(x(l), m) + (l - k) * lift(x(l - 1)))
-    zs = []
-    for l in range(k + 1, n - k + 1):
-        case_b_determinant(n, k, l)
-        zs.append((n - k - l + 1) * lift(x(l - 1)) - embed(x(l), m))
-    return JordanChain(m, k, ys), JordanChain(m, k + 1, zs)
-
-
-def _extend_basis(basis: JordanBasis) -> JordanBasis:
-    new_chains: list[JordanChain] = []
-    for ch in basis.chains:
-        if ch.length == 1:
-            new_chains.append(extend_case_a(ch))
-        else:
-            y, z = extend_case_b(ch)
-            new_chains.append(y)
-            new_chains.append(z)
-    return JordanBasis(basis.n + 1, new_chains)
+def _chains(n: int, m: int, k: int, xs: list[dict[int, int]]):
+    """(start rank, term dicts) of every chain over {1..n} descending from
+    the chain xs over {1..m} starting at rank k, in canonical order."""
+    if m == n:
+        yield k, xs
+        return
+    bit = 1 << m  # the new element m+1
+    # With x = xs[i] at rank l = k+i, y_{l+1} takes (l+1-k) * lift(x) and
+    # z_{l+1} takes (m-k-l) * lift(x).  Lifted masks hold the new element
+    # and unlifted ones do not, so no two terms collide; every factor is
+    # positive, so no zero is stored.
+    ys = [dict(x) for x in xs] + [{}]
+    for i, x in enumerate(xs):
+        ys[i + 1].update({s | bit: (i + 1) * c for s, c in x.items()})
+    yield from _chains(n, m + 1, k, ys)
+    zs = [{s: -c for s, c in x.items()} for x in xs[1:]]
+    for i, z in enumerate(zs):
+        z.update({s | bit: (len(zs) - i) * c for s, c in xs[i].items()})
+    if zs:
+        yield from _chains(n, m + 1, k + 1, zs)
 
 
 def build_sjb(n: int, cap: int | None = None) -> JordanBasis:
     """Symmetric Jordan basis of the space on subsets of {1..n}.
 
     Deterministic: repeated builds produce identical chains in identical
-    order.  Intermediate levels are dropped as soon as the next one is
-    materialized.
+    order.  Only the chains on the current path of the recursion are held
+    besides the basis itself.
     """
     check_ground_size(n, cap)
-    basis = base_basis()
-    for _ in range(n):
-        basis = _extend_basis(basis)
-    return basis
-
-
-def build_sjb_levels(n: int, cap: int | None = None) -> list[JordanBasis]:
-    """All bases for ground sizes 0..n, in one inductive pass."""
-    check_ground_size(n, cap)
-    levels = [base_basis()]
-    for _ in range(n):
-        levels.append(_extend_basis(levels[-1]))
-    return levels
+    return JordanBasis(n, [JordanChain(n, k, [Vector._from_terms(n, x) for x in xs])
+                           for k, xs in _chains(n, 0, 0, [{0: 1}])])

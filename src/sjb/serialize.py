@@ -180,7 +180,11 @@ def _build(doc, chains) -> Serializable:
         _require(isinstance(items, list) and items,
                  f"chain {ci}: {key} must be a non-empty list")
         if kind == "scd":
-            built.append(SubsetChain(n, [_parse_subset(s, n) for s in items]))
+            chain = SubsetChain(n, [_parse_subset(s, n) for s in items])
+            _require(chain.start_rank == start,
+                     f"chain {ci}: start_rank {start} is not the rank "
+                     f"{chain.start_rank} of its first subset")
+            built.append(chain)
             continue
         vectors = []
         for vi, terms_raw in enumerate(items):
@@ -271,6 +275,18 @@ class _Reader:
 
 
 def _read(fh) -> Serializable:
+    try:
+        return _walk(fh)
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        # Plain ValueErrors come from the text itself: bytes that are not
+        # UTF-8, or an integer literal past the interpreter's digit limit
+        # (sys.get_int_max_str_digits), which the JSON decoders refuse.
+        raise DocumentError(str(exc)) from None
+
+
+def _walk(fh) -> Serializable:
     """Walk the top-level object, building each chain as it is decoded."""
     reader = _Reader(fh)
     try:

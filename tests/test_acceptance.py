@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from sjb.jordan import build_sjb, build_sjb_levels
+from sjb.jordan import build_sjb
 from sjb.lattice import binomial
 from sjb.operators import embed, lift, up
 from sjb.scd import build_scd, chain_length_profile, chain_length_sequence
@@ -40,7 +40,7 @@ def criterion(num, desc, budget_seconds=None):
 @pytest.fixture(scope="module")
 def levels10():
     # Bases for n = 0..10, shared by the structural criteria.
-    return build_sjb_levels(10)
+    return [build_sjb(m) for m in range(11)]
 
 
 def test_criterion_1_golden_n2_basis():

@@ -276,6 +276,28 @@ def test_build_all_levels(tmp_path):
                  str(tmp_path / "flat.json")]) == 2
 
 
+def test_build_all_levels_refuses_before_building(tmp_path, capsys):
+    template = str(tmp_path / "l{n}.json")
+    start = time.perf_counter()
+    assert main(["build", "--kind", "scd", "--all-levels", "--n", "21",
+                 "--cap", "20", "--out", template]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "ground set size must be in 0..20, got 21" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_stdout_pinned(tmp_path, capsys):
+    template = str(tmp_path / "l{n}.json")
+    assert main(["build", "--kind", "scd", "--all-levels", "--n", "2",
+                 "--out", template]) == 0
+    assert main(["build", "--n", "3", "--out", str(tmp_path / "b.json")]) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path), "T") == (
+        "wrote T/l0.json (kind=scd, n=0, chains=1)\n"
+        "wrote T/l1.json (kind=scd, n=1, chains=1)\n"
+        "wrote T/l2.json (kind=scd, n=2, chains=2)\n"
+        "wrote T/b.json (kind=sjb, n=3, chains=3)\n")
+
+
 def test_build_all_levels_scd(tmp_path):
     template = str(tmp_path / "scd_{n}.json")
     assert main(["build", "--n", "2", "--kind", "scd", "--all-levels",
@@ -303,3 +325,21 @@ def test_documents_identical_across_calls(tmp_path):
     assert main(["build", "--n", "6", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() == serialize(build_sjb(6))
+
+
+def test_verify_scd_start_rank_mismatch_exits_2(tmp_path, capsys):
+    doc = json.loads(serialize(build_scd(3)))
+    doc["chains"][1]["start_rank"] = 0
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert ("chain 1: start_rank 0 is not the rank 1 of its first subset"
+            in capsys.readouterr().err)
+
+
+def test_verify_oversized_integer_literal_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"format_version": "1", "kind": "sjb", "n": %s, "chains": []}'
+                    % ("1" * 5000))
+    assert main(["verify", str(path)]) == 2
+    assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err

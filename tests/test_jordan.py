@@ -1,9 +1,10 @@
-"""Jordan basis builder: base cases, both extension cases, determinism."""
+"""Jordan basis builder: base cases, the y/z recursion, determinism."""
+
+import hashlib
 
 import pytest
 
-from sjb.jordan import (CaseError, JordanChain, build_sjb, build_sjb_levels,
-                        case_b_determinant, extend_case_a, extend_case_b)
+from sjb.jordan import build_sjb
 from sjb.lattice import CapacityError, binomial
 from sjb.operators import embed, lift, up
 from sjb.serialize import serialize
@@ -52,76 +53,62 @@ def test_n3_hand_derived_basis():
     ]
 
 
-def test_case_a_extends_base():
-    ch = JordanChain(0, 0, [Vector(0, {0: 1})])
-    out = extend_case_a(ch)
-    assert out.n == 1 and out.start_rank == 0
-    assert out.vectors == [Vector(1, {0: 1}), Vector(1, {1: 1})]
+def extend(chain, n):
+    """The y and (for two or more vectors) z children over {1..n+1} of a
+    chain over {1..n}, written with embed and lift as the paper states them."""
+    k, m = chain.start_rank, n + 1
+    zero = Vector.zero(n)
+
+    def x(l):
+        return chain.vectors[l - k] if k <= l <= n - k else zero
+
+    ys = [embed(x(l), m) + (l - k) * lift(x(l - 1)) for l in range(k, m - k + 1)]
+    children = [(k, ys)]
+    if chain.length >= 2:
+        zs = [(n - k - l + 1) * lift(x(l - 1)) - embed(x(l), m)
+              for l in range(k + 1, n - k + 1)]
+        children.append((k + 1, zs))
+    return children
 
 
-def test_case_a_on_middle_chain_of_n2():
-    ch = JordanChain(2, 1, [Vector(2, {B: 1, A: -1})])
-    out = extend_case_a(ch)
-    assert out.vectors == [Vector(3, {B: 1, A: -1}),
-                           Vector(3, {0b110: 1, 0b101: -1})]
-    assert up(out.vectors[-1]).is_zero
+@pytest.mark.parametrize("n", range(10))
+def test_next_level_is_the_y_z_extension_in_canonical_order(n):
+    # Parents in stored order, y before z: the level-by-level oracle.
+    want = [child for ch in build_sjb(n).chains for child in extend(ch, n)]
+    got = [(ch.start_rank, ch.vectors) for ch in build_sjb(n + 1).chains]
+    assert got == want
 
 
-def test_case_a_rejects_wrong_shape():
-    with pytest.raises(CaseError):
-        extend_case_a(JordanChain(1, 0, [Vector(1, {0: 1}), Vector(1, {1: 1})]))
-    with pytest.raises(CaseError):
-        extend_case_a(JordanChain(2, 0, [Vector(2, {E: 1})]))
-
-
-def test_case_b_on_n1_chain():
-    ch = JordanChain(1, 0, [Vector(1, {0: 1}), Vector(1, {1: 1})])
-    y, z = extend_case_b(ch)
-    assert y.n == z.n == 2
-    assert y.start_rank == 0 and z.start_rank == 1
-    assert y.vectors == [Vector(2, {E: 1}), Vector(2, {A: 1, B: 1}),
-                         Vector(2, {AB: 2})]
-    assert z.vectors == [Vector(2, {B: 1, A: -1})]
-
-
-def test_case_b_rejects_middle_chain():
-    with pytest.raises(CaseError):
-        extend_case_b(JordanChain(2, 1, [Vector(2, {A: 1})]))
-
-
-def test_case_b_endpoints():
-    # The extended chain starts at the parent start vector and ends at a
-    # (n+1-2k)-multiple of the lifted parent top; the shortened chain ends
-    # at lift(parent second-to-last) - parent last, which up annihilates.
+def test_extension_endpoints():
+    # A one-vector middle chain (x,) has only the y child (x, lift(x)); a
+    # longer chain's y child ends at (n+1-2k) * lift(top), and its z child
+    # ends at lift(second-to-top) - top, which up annihilates.
     for n in range(1, 9):
-        basis = build_sjb(n)
-        for ch in basis.chains:
+        for ch in build_sjb(n).chains:
+            k, top = ch.start_rank, ch.vectors[-1]
+            (_, ys), *rest = extend(ch, n)
+            assert ys[0] == embed(ch.vectors[0], n + 1)
+            assert ys[-1] == (n + 1 - 2 * k) * lift(top)
+            assert up(ys[-1]).is_zero
             if ch.length == 1:
-                continue
-            k = ch.start_rank
-            y, z = extend_case_b(ch)
-            assert y.vectors[0] == embed(ch.vectors[0], n + 1)
-            assert y.vectors[-1] == (n + 1 - 2 * k) * lift(ch.vectors[-1])
-            assert z.vectors[-1] == lift(ch.vectors[-2]) - embed(ch.vectors[-1], n + 1)
-            assert up(z.vectors[-1]).is_zero
-            assert up(y.vectors[-1]).is_zero
+                assert ys == [embed(top, n + 1), lift(top)] and not rest
+            else:
+                (_, zs), = rest
+                assert zs[-1] == lift(ch.vectors[-2]) - embed(top, n + 1)
+                assert up(zs[-1]).is_zero
 
 
-def test_case_b_determinant_values():
-    assert case_b_determinant(1, 0, 1) == 2
-    assert case_b_determinant(5, 1, 3) == 4
-    # Independent of the position within its valid range.
-    for n in range(1, 10):
-        for k in range((n + 1) // 2):
-            vals = {case_b_determinant(n, k, l) for l in range(k + 1, n - k + 1)}
-            assert vals == {n - 2 * k + 1}
+# sha256 of serialize(build_sjb(n)), recorded from the level-by-level build.
+PINNED_SHA256 = {
+    6: "b80ffac8c90aecf25407e2592bd51a2d750c248935176db6e31858adaa15a8e2",
+    8: "1a468f31c134ac8614aaf522c568e7693eae6661c56e028c30acac6d1c5428fe",
+    10: "625739612d4745d3aa0618f66ada3e604084cb27ee543abc6c5857ee8a277985",
+}
 
 
-def test_case_b_determinant_rejects_bad_position():
-    with pytest.raises(ValueError):
-        case_b_determinant(5, 1, 1)
-    with pytest.raises(ValueError):
-        case_b_determinant(5, 1, 5)
+@pytest.mark.parametrize("n", sorted(PINNED_SHA256))
+def test_documents_match_pinned_hashes(n):
+    assert hashlib.sha256(serialize(build_sjb(n))).hexdigest() == PINNED_SHA256[n]
 
 
 def test_chain_count_per_start_rank():
@@ -143,13 +130,6 @@ def test_all_up_links_hold():
             for i in range(ch.length - 1):
                 assert up(ch.vectors[i]) == ch.vectors[i + 1]
             assert up(ch.vectors[-1]).is_zero
-
-
-def test_levels_match_fresh_builds():
-    levels = build_sjb_levels(5)
-    assert len(levels) == 6
-    for n, basis in enumerate(levels):
-        assert serialize(basis) == serialize(build_sjb(n))
 
 
 def test_rebuild_is_bit_reproducible():

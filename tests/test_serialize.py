@@ -221,6 +221,40 @@ def test_rejects_structurally_broken_documents():
         from_document(doc)
 
 
+def test_rejects_scd_start_rank_other_than_its_first_subset():
+    doc = json.loads((GOLDEN / "scd_n3.json").read_text())
+    doc["chains"][1]["start_rank"] = 0
+    message = "chain 1: start_rank 0 is not the rank 1 of its first subset"
+    with pytest.raises(DocumentError, match=message):
+        from_document(doc)
+    with pytest.raises(DocumentError, match=message):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", [
+    # Streamed: the header value is decoded on its own.
+    '{"format_version": "1", "kind": "sjb", "n": %s, "chains": []}' % ("1" * 5000),
+    # Not an object, so decoded whole by json.loads.
+    "[%s]" % ("1" * 5000),
+], ids=["streamed", "json.loads"])
+def test_oversized_integer_literal_is_a_document_error(tmp_path, text):
+    with pytest.raises(ValueError) as plain:
+        json.loads(text)
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    for read in (lambda: deserialize(text), lambda: load(path)):
+        with pytest.raises(DocumentError) as exc:
+            read()
+        assert str(exc.value) == str(plain.value)
+
+
+def test_non_utf8_file_is_a_document_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format_version": "1", "kind": "scd", "n": 0, "chains": ["\xff"]}')
+    with pytest.raises(DocumentError, match="can't decode byte 0xff"):
+        load(path)
+
+
 def test_accepts_algebraically_wrong_but_well_formed():
     # Verification failures are the verifier's to report, not the parser's.
     doc = _valid_doc()
