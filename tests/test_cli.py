@@ -1,7 +1,9 @@
 """Command-line surface: subcommand flows and exit codes."""
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +345,32 @@ def test_verify_oversized_integer_literal_exits_2(tmp_path, capsys):
                     % ("1" * 5000))
     assert main(["verify", str(path)]) == 2
     assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
+# Every case in the transcript is "$ sjb <args>", "exit <code>", then the
+# exact stdout.  Document arguments name files made by `_documents`.
+TRANSCRIPT = (Path(__file__).parent / "golden" / "cli_stdout.txt").read_text()
+CASES = [case.split("\n", 2) for case in re.split(r"^\$ sjb ", TRANSCRIPT, flags=re.M)[1:]]
+
+
+@pytest.fixture(scope="module")
+def _documents(tmp_path_factory):
+    d = tmp_path_factory.mktemp("docs")
+    save(build_sjb(3), d / "sjb_n3.json")
+    save(build_sjb(6), d / "sjb_n6.json")
+    save(build_scd(3), d / "scd_n3.json")
+    doc = json.loads(serialize(build_sjb(5)))
+    doc["chains"][0]["vectors"][1][0]["coeff"] = "7"
+    (d / "sjb_n5_tampered.json").write_text(json.dumps(doc))
+    return d
+
+
+def test_transcript_covers_every_pinned_command():
+    assert len(CASES) == 13
+
+
+@pytest.mark.parametrize("command, code, stdout", CASES, ids=[c[0] for c in CASES])
+def test_stdout_and_exit_code_pinned(_documents, capsys, command, code, stdout):
+    argv = [str(_documents / a) if a.endswith(".json") else a for a in command.split()]
+    assert main(argv) == int(code.removeprefix("exit "))
+    assert capsys.readouterr().out == stdout
