@@ -6,13 +6,12 @@ from .jordan import JordanBasis, JordanChain, build_sjb
 from .lattice import (CapacityError, binomial, covered_by, covers_of,
                       mask_to_elements, elements_to_mask, rank_of,
                       subset_str, subsets_of_rank)
-from .operators import UpMatrix, down, embed, lift, split_by_top, up, up_matrix
+from .operators import UpMatrix, down, embed, lift, up, up_matrix
 from .scd import (ChainDecomposition, SubsetChain, build_scd,
                   chain_length_profile, chain_length_sequence)
 from .serialize import (DocumentError, deserialize, export_up_matrix_csv,
                         from_document, load, save, serialize, to_document)
-from .vectors import (GroundSetMismatchError, Homogeneous,
-                      NotHomogeneousError, Vector, as_homogeneous,
+from .vectors import (GroundSetMismatchError, NotHomogeneousError, Vector,
                       homogeneous_rank)
 from .verify import (Check, InvalidChainError, RatioProfile, UpRankResult,
                      VerificationReport, check_orthogonality,
@@ -22,11 +21,11 @@ from .verify import (Check, InvalidChainError, RatioProfile, UpRankResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Vector", "Homogeneous", "as_homogeneous", "homogeneous_rank",
+    "Vector", "homogeneous_rank",
     "GroundSetMismatchError", "NotHomogeneousError",
     "binomial", "subsets_of_rank", "covers_of", "covered_by", "rank_of",
     "mask_to_elements", "elements_to_mask", "subset_str", "CapacityError",
-    "up", "down", "lift", "embed", "split_by_top", "up_matrix", "UpMatrix",
+    "up", "down", "lift", "embed", "up_matrix", "UpMatrix",
     "JordanChain", "JordanBasis", "build_sjb",
     "SubsetChain", "ChainDecomposition", "build_scd",
     "chain_length_profile", "chain_length_sequence",

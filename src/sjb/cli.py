@@ -12,14 +12,44 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .jordan import JordanBasis, build_sjb
-from .lattice import CapacityError, binomial, check_ground_size
+from .lattice import CapacityError, binomial, chains_starting, check_ground_size
 from .operators import check_up_matrix_size
-from .scd import ChainDecomposition, build_scd, chain_length_profile, chain_length_sequence
+from .scd import ChainDecomposition, build_scd, chain_length_profile
 from .serialize import DocumentError, export_up_matrix_csv, load, save
-from .verify import (check_orthogonality, check_ratio_uniformity, ratio_groups,
-                     up_rank_check, verify_scd, verify_sjb, verify_sjc)
+from .verify import (VerificationReport, chain_reports, check_orthogonality,
+                     check_ratio_uniformity, compare_profiles, ratio_groups,
+                     ratio_uniformity, up_rank_check, verify_scd, verify_sjb)
 
-SJB_CHECKS = ("sjc", "basis", "ortho", "ratios")
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _show(report: VerificationReport) -> bool:
+    print(report)
+    return report.overall
+
+
+def _check_chains(basis: JordanBasis, args) -> bool:
+    ok = True
+    for _, report in chain_reports(basis):
+        if not report.overall:
+            print(report)
+            ok = False
+    print(f"== sjc: {len(basis.chains)} chains checked: {'PASS' if ok else 'FAIL'} ==")
+    return ok
+
+
+# The checks `verify` runs on an sjb document, in order.  Each entry looks its
+# library check up when called, so a rebound module global is honoured.
+SJB_CHECKS = {
+    "sjc": _check_chains,
+    "basis": lambda basis, args: _show(
+        verify_sjb(basis, check_full_rank=not args.no_full_rank)),
+    "ortho": lambda basis, args: _show(check_orthogonality(basis)),
+    "ratios": lambda basis, args: _show(check_ratio_uniformity(basis)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,14 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build(args) -> int:
     if args.all_levels and "{n}" not in args.out:
-        print("error: --all-levels requires an --out template containing {n}",
-              file=sys.stderr)
-        return 2
+        return _error("--all-levels requires an --out template containing {n}")
     check_ground_size(args.n, args.cap)
+    levels = range(args.n + 1) if args.all_levels else [args.n]
+    try:
+        paths = [args.out.format(n=m) for m in levels] if args.all_levels else [args.out]
+    except (KeyError, IndexError, ValueError) as exc:
+        return _error(f"--out template {args.out!r} must format with {{n}} alone "
+                      f"({type(exc).__name__}: {exc})")
     builder = build_sjb if args.kind == "sjb" else build_scd
-    for m in range(args.n + 1) if args.all_levels else [args.n]:
+    for m, path in zip(levels, paths):
         obj = builder(m, cap=args.cap)
-        path = args.out.format(n=m) if args.all_levels else args.out
         save(obj, path)
         print(f"wrote {path} (kind={args.kind}, n={m}, chains={len(obj.chains)})")
     return 0
@@ -89,44 +122,16 @@ def _cmd_verify(args) -> int:
     obj = load(args.file)
     if isinstance(obj, ChainDecomposition):
         if args.checks is not None:
-            print("error: --checks applies only to sjb documents", file=sys.stderr)
-            return 2
-        report = verify_scd(obj)
-        print(report)
-        return 0 if report.overall else 1
+            return _error("--checks applies only to sjb documents")
+        return 0 if _show(verify_scd(obj)) else 1
 
     assert isinstance(obj, JordanBasis)
-    selected = SJB_CHECKS if args.checks is None else tuple(args.checks.split(","))
+    selected = SJB_CHECKS if args.checks is None else args.checks.split(",")
     unknown = [c for c in selected if c not in SJB_CHECKS]
     if unknown:
-        print(f"error: unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}",
-              file=sys.stderr)
-        return 2
-    ok = True
-    for name in SJB_CHECKS:
-        if name not in selected:
-            continue
-        if name == "sjc":
-            for ci, ch in enumerate(obj.chains):
-                rep = verify_sjc(ch)
-                if not rep.overall:
-                    print(rep)
-                    ok = False
-            print(f"== sjc: {len(obj.chains)} chains checked: "
-                  f"{'PASS' if ok else 'FAIL'} ==")
-        elif name == "basis":
-            rep = verify_sjb(obj, check_full_rank=not args.no_full_rank)
-            print(rep)
-            ok = ok and rep.overall
-        elif name == "ortho":
-            rep = check_orthogonality(obj)
-            print(rep)
-            ok = ok and rep.overall
-        elif name == "ratios":
-            rep = check_ratio_uniformity(obj)
-            print(rep)
-            ok = ok and rep.overall
-    return 0 if ok else 1
+        return _error(f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
+    passed = [check(obj, args) for name, check in SJB_CHECKS.items() if name in selected]
+    return 0 if all(passed) else 1
 
 
 def _rank_row(arg: tuple[int, int]):
@@ -136,16 +141,13 @@ def _rank_row(arg: tuple[int, int]):
 def _cmd_rank(args) -> int:
     n = args.n
     if n < 1:
-        print("error: rank needs --n >= 1", file=sys.stderr)
-        return 2
+        return _error("rank needs --n >= 1")
     check_ground_size(n, args.cap)
     ks = [args.k] if args.k is not None else list(range(n))
     if any(not 0 <= k < n for k in ks):
-        print(f"error: --k must be in 0..{n - 1}", file=sys.stderr)
-        return 2
+        return _error(f"--k must be in 0..{n - 1}")
     if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
+        return _error("--jobs must be >= 1")
     for k in ks:
         check_up_matrix_size(n, k)
     # More workers than levels or cores would only add processes to start.
@@ -157,12 +159,11 @@ def _cmd_rank(args) -> int:
         results = [up_rank_check(n, k) for k in ks]
     print(f"{'k':>3} {'dim_k':>8} {'dim_k+1':>8} {'rank':>8} "
           f"{'injective':>9} {'surjective':>10}")
-    ok = True
     for res in results:
         print(f"{res.k:>3} {res.domain_dim:>8} {res.codomain_dim:>8} "
               f"{res.computed_rank:>8} {str(res.injective).lower():>9} "
               f"{str(res.surjective).lower():>10}")
-        ok = ok and res.computed_rank == min(res.domain_dim, res.codomain_dim)
+    ok = all(res.injective or res.surjective for res in results)
     print("rank == min(dim_k, dim_k+1) for all checked k:"
           f" {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -171,42 +172,35 @@ def _cmd_rank(args) -> int:
 def _cmd_profile(args) -> int:
     obj = load(args.file)
     if not isinstance(obj, JordanBasis):
-        print("error: profile applies only to sjb documents", file=sys.stderr)
-        return 2
-    ok = True
-    for k, group in ratio_groups(obj).items():
+        return _error("profile applies only to sjb documents")
+    groups = ratio_groups(obj)
+    report = ratio_uniformity(obj.n, groups)
+    for (k, group), check in zip(groups.items(), report.checks):
         ref = group[0][1].ratios
-        uniform = all(prof.ratios == ref for _, prof in group)
-        ok = ok and uniform
         shown = " ".join(str(r) for r in ref) if ref else "(single vector)"
         print(f"start_rank {k}: chains={len(group)} ratios: {shown}"
-              + ("" if uniform else "  [NOT UNIFORM]"))
-    print(f"profiles uniform within each start rank: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+              + ("" if check.passed else "  [NOT UNIFORM]"))
+    print(f"profiles uniform within each start rank: {'PASS' if report.overall else 'FAIL'}")
+    return 0 if report.overall else 1
 
 
 def _cmd_compare(args) -> int:
     basis = build_sjb(args.n, cap=args.cap)
-    decomp = build_scd(args.n, cap=args.cap)
-    seq_b = chain_length_sequence(basis)
-    seq_d = chain_length_sequence(decomp)
-    multiset_equal = chain_length_profile(basis) == chain_length_profile(decomp)
-    chainwise_equal = seq_b == seq_d
-    counts = sorted(chain_length_profile(basis).items())
+    report = compare_profiles(basis, build_scd(args.n, cap=args.cap))
     print(f"{'start_rank':>10} {'length':>7} {'chains':>7}")
-    for (k, length), count in counts:
+    for (k, length), count in sorted(chain_length_profile(basis).items()):
         print(f"{k:>10} {length:>7} {count:>7}")
-    print(f"profiles equal as multisets: {'PASS' if multiset_equal else 'FAIL'}")
-    print(f"profiles equal chain by chain: {'PASS' if chainwise_equal else 'FAIL'}")
-    return 0 if multiset_equal and chainwise_equal else 1
+    multiset, chainwise = report.checks
+    print(f"profiles equal as multisets: {'PASS' if multiset.passed else 'FAIL'}")
+    print(f"profiles equal chain by chain: {'PASS' if chainwise.passed else 'FAIL'}")
+    return 0 if report.overall else 1
 
 
 def _cmd_stats(args) -> int:
     n = check_ground_size(args.n, args.cap)
     print(f"{'k':>3} {'dim C(n,k)':>12} {'chains starting':>16}")
     for k in range(n + 1):
-        starting = max(binomial(n, k) - binomial(n, k - 1), 0)
-        print(f"{k:>3} {binomial(n, k):>12} {starting:>16}")
+        print(f"{k:>3} {binomial(n, k):>12} {chains_starting(n, k):>16}")
     print(f"total subsets: {2 ** n}")
     print(f"total chains:  {binomial(n, n // 2)}")
     return 0
@@ -239,12 +233,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (CapacityError, DocumentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (CapacityError, DocumentError, ValueError, OSError) as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

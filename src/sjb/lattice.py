@@ -76,9 +76,9 @@ def subsets_of_rank(n: int, k: int) -> list[int]:
     return out
 
 
-def all_subsets(n: int) -> range:
-    """Every subset of {1..n} as masks, in increasing order."""
-    return range(1 << n)
+def chains_starting(n: int, k: int) -> int:
+    """Chains starting at rank k in a symmetric chain decomposition of B(n)."""
+    return max(binomial(n, k) - binomial(n, k - 1), 0)
 
 
 def covers_of(mask: int, n: int) -> list[int]:

@@ -65,22 +65,6 @@ def lift(v: Vector) -> Vector:
     return Vector._from_terms(v.n + 1, {mask | top: c for mask, c in v._terms.items()})
 
 
-def split_by_top(v: Vector) -> tuple[Vector, Vector]:
-    """Split v = v0 + v1 by membership of the largest ground element.
-
-    v0 is supported on subsets avoiding it, v1 on subsets containing it;
-    both keep the ground set of v.
-    """
-    if v.n == 0:
-        return v, Vector.zero(0)
-    top = 1 << (v.n - 1)
-    t0: dict[int, int] = {}
-    t1: dict[int, int] = {}
-    for mask, c in v._terms.items():
-        (t1 if mask & top else t0)[mask] = c
-    return Vector._from_terms(v.n, t0), Vector._from_terms(v.n, t1)
-
-
 @dataclass
 class UpMatrix:
     """0/1 matrix of up restricted to rank k, in ascending-mask basis order."""
@@ -116,6 +100,4 @@ def up_matrix(n: int, k: int) -> UpMatrix:
     for j, mask in enumerate(col_basis):
         for cover in covers_of(mask, n):
             rows[row_index[cover]][j] = 1
-    m = UpMatrix(n, k, row_basis, col_basis, rows)
-    assert m.shape == (binomial(n, k + 1), binomial(n, k))
-    return m
+    return UpMatrix(n, k, row_basis, col_basis, rows)

@@ -7,7 +7,7 @@ never stored.  Vectors are treated as immutable after construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .lattice import rank_of, subset_str
 
@@ -148,26 +148,9 @@ class Vector:
         return f"Vector({self.n}, {self.items()!r})"
 
 
-class Homogeneous(NamedTuple):
-    """A vector together with its rank; rank is None for the zero vector."""
-
-    vector: Vector
-    rank: int | None
-
-
-def as_homogeneous(v: Vector) -> Homogeneous:
-    """Attach the common rank of all terms; zero gets the None sentinel.
-
-    Raises NotHomogeneousError if terms mix ranks.
-    """
-    ranks = {rank_of(m) for m in v.support()}
-    if not ranks:
-        return Homogeneous(v, None)
-    if len(ranks) > 1:
-        raise NotHomogeneousError(f"terms mix ranks {sorted(ranks)}")
-    return Homogeneous(v, ranks.pop())
-
-
 def homogeneous_rank(v: Vector) -> int | None:
     """Rank of a homogeneous vector, None for zero; raises on mixed ranks."""
-    return as_homogeneous(v).rank
+    ranks = {rank_of(m) for m in v._terms}
+    if len(ranks) > 1:
+        raise NotHomogeneousError(f"terms mix ranks {sorted(ranks)}")
+    return ranks.pop() if ranks else None

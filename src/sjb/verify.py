@@ -8,14 +8,15 @@ re-checked by hand.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .elimination import exact_rank
 from .jordan import JordanBasis, JordanChain
-from .lattice import binomial, rank_of, subsets_of_rank
+from .lattice import binomial, chains_starting, rank_of, subsets_of_rank
 from .operators import up, up_matrix
-from .scd import ChainDecomposition
+from .scd import ChainDecomposition, chain_length_profile, chain_length_sequence
 from .vectors import NotHomogeneousError, homogeneous_rank
 
 
@@ -65,11 +66,6 @@ class RatioProfile:
     start_rank: int
     ratios: list[Fraction]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatioProfile):
-            return NotImplemented
-        return self.start_rank == other.start_rank and self.ratios == other.ratios
-
 
 @dataclass
 class UpRankResult:
@@ -116,6 +112,19 @@ def verify_sjc(chain: JordanChain) -> VerificationReport:
     return report
 
 
+def chain_reports(basis: JordanBasis):
+    """(chain index, verify_sjc report) of every chain, lazily, in order."""
+    return ((ci, verify_sjc(ch)) for ci, ch in enumerate(basis.chains))
+
+
+def _check_start_ranks(report: VerificationReport, n: int, chains) -> None:
+    """Add start_rank_counts: each rank k starts chains_starting(n, k) chains."""
+    starts = Counter(ch.start_rank for ch in chains)
+    bad = next(({"start_rank": k, "got": starts[k], "expected": chains_starting(n, k)}
+                for k in range(n + 1) if starts[k] != chains_starting(n, k)), None)
+    report.add("start_rank_counts", bad is None, bad)
+
+
 def _rank_matrix(basis: JordanBasis, r: int) -> list[list[int]] | None:
     """Coordinate rows of all rank-r basis vectors, in ascending-mask order.
 
@@ -144,12 +153,8 @@ def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> Verification
     n = basis.n
     report = VerificationReport(f"sjb n={n} chains={len(basis.chains)}")
 
-    bad_chain = None
-    for ci, ch in enumerate(basis.chains):
-        sub = verify_sjc(ch)
-        if not sub.overall:
-            bad_chain = {"chain": ci, "failed": [c.name for c in sub.failures()]}
-            break
+    bad_chain = next(({"chain": ci, "failed": [c.name for c in sub.failures()]}
+                      for ci, sub in chain_reports(basis) if not sub.overall), None)
     report.add("chains_valid", bad_chain is None, bad_chain)
 
     total = basis.total_vectors()
@@ -162,18 +167,7 @@ def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> Verification
             bad_rank = {"rank": r, "got": got, "expected": binomial(n, r)}
             break
     report.add("rank_counts", bad_rank is None, bad_rank)
-
-    bad_start = None
-    starts = [0] * (n + 2)
-    for ch in basis.chains:
-        if 0 <= ch.start_rank <= n:
-            starts[ch.start_rank] += 1
-    for k in range(n + 1):
-        expected = binomial(n, k) - binomial(n, k - 1)
-        if starts[k] != max(expected, 0):
-            bad_start = {"start_rank": k, "got": starts[k], "expected": expected}
-            break
-    report.add("start_rank_counts", bad_start is None, bad_start)
+    _check_start_ranks(report, n, basis.chains)
 
     if check_full_rank:
         for r in range(n + 1):
@@ -242,8 +236,14 @@ def check_ratio_uniformity(basis: JordanBasis) -> VerificationReport:
     Exact rational comparison, hence invariant under rescaling any whole
     chain by a nonzero scalar.
     """
-    report = VerificationReport(f"ratio uniformity n={basis.n}")
-    for k, group in ratio_groups(basis).items():
+    return ratio_uniformity(basis.n, ratio_groups(basis))
+
+
+def ratio_uniformity(n: int, groups: dict[int, list[tuple[int, RatioProfile]]]
+                     ) -> VerificationReport:
+    """check_ratio_uniformity on profiles already grouped by ratio_groups."""
+    report = VerificationReport(f"ratio uniformity n={n}")
+    for k, group in groups.items():
         ref_ci, ref = group[0]
         witness = None
         for ci, prof in group[1:]:
@@ -282,8 +282,7 @@ def unimodality_report(n: int) -> VerificationReport:
                    {"k": k})
     for k in range(n // 2):
         res = up_rank_check(n, k)
-        ok = res.injective and res.computed_rank == binomial(n, k)
-        report.add(f"injective_up[k={k}]", ok,
+        report.add(f"injective_up[k={k}]", res.injective,
                    {"k": k, "computed_rank": res.computed_rank})
     return report
 
@@ -318,15 +317,15 @@ def verify_scd(decomp: ChainDecomposition) -> VerificationReport:
     bad_sym = next(({"chain": ci} for ci, ch in enumerate(decomp.chains)
                     if ch.start_rank + ch.top_rank != n), None)
     report.add("symmetric", bad_sym is None, bad_sym)
+    _check_start_ranks(report, n, decomp.chains)
+    return report
 
-    bad_start = None
-    starts = [0] * (n + 2)
-    for ch in decomp.chains:
-        starts[ch.start_rank] += 1
-    for k in range(n + 1):
-        expected = max(binomial(n, k) - binomial(n, k - 1), 0)
-        if starts[k] != expected:
-            bad_start = {"start_rank": k, "got": starts[k], "expected": expected}
-            break
-    report.add("start_rank_counts", bad_start is None, bad_start)
+
+def compare_profiles(basis: JordanBasis, decomp: ChainDecomposition) -> VerificationReport:
+    """The basis and the decomposition have the same (start rank, length) chains."""
+    report = VerificationReport(f"chain profiles n={basis.n}")
+    report.add("equal_as_multisets",
+               chain_length_profile(basis) == chain_length_profile(decomp))
+    report.add("equal_chain_by_chain",
+               chain_length_sequence(basis) == chain_length_sequence(decomp))
     return report

@@ -288,6 +288,17 @@ def test_build_all_levels_refuses_before_building(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("field, error", [("{x}", "KeyError: 'x'"),
+                                          ("{0}", "IndexError"), ("{}", "IndexError")])
+def test_build_all_levels_refuses_bad_template(tmp_path, capsys, field, error):
+    template = str(tmp_path / f"a{{n}}{field}.json")
+    assert main(["build", "--all-levels", "--n", "2", "--out", template]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out template {template!r} must format with {{n}} alone")
+    assert error in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_stdout_pinned(tmp_path, capsys):
     template = str(tmp_path / "l{n}.json")
     assert main(["build", "--kind", "scd", "--all-levels", "--n", "2",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sjb.lattice import (CapacityError, binomial, check_ground_size,
+from sjb.lattice import (CapacityError, binomial, chains_starting, check_ground_size,
                          covered_by, covers_of, elements_to_mask, ground_cap,
                          mask_to_elements, rank_of, subset_str,
                          subsets_of_rank)
@@ -50,6 +50,16 @@ def test_pascal_identity():
     for n in range(1, 31):
         for k in range(n + 1):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+def test_chains_starting():
+    assert [chains_starting(4, k) for k in range(-1, 6)] == [0, 1, 3, 2, 0, 0, 0]
+    for n in range(12):
+        # Every chain starts somewhere, and a chain starting at k holds one
+        # subset of each rank k..n-k.
+        assert sum(chains_starting(n, k) for k in range(n + 1)) == binomial(n, n // 2)
+        assert sum(chains_starting(n, k) * (n - 2 * k + 1)
+                   for k in range(n // 2 + 1)) == 2 ** n
 
 
 def test_subsets_of_rank_tiny():

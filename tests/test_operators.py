@@ -1,4 +1,4 @@
-"""Up/down operators, lift, split, and the matrix form."""
+"""Up/down operators, lift, and the matrix form."""
 
 import random
 
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sjb.lattice import CapacityError, binomial, covers_of, rank_of, subsets_of_rank
 from sjb.operators import (UP_MATRIX_MAX_ENTRIES, check_up_matrix_size, down, embed,
-                           lift, split_by_top, up, up_matrix)
+                           lift, up, up_matrix)
 from sjb.vectors import Vector, homogeneous_rank
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
@@ -36,30 +36,6 @@ def test_lift_hand_values():
     assert lift(Vector(2, {A: 1, B: 1})) == Vector(3, {0b101: 1, 0b110: 1})
     assert lift(Vector(0, {0: 1})) == Vector(1, {1: 1})
     assert lift(Vector.zero(2)).is_zero
-
-
-def test_split_by_top():
-    v = Vector(3, {A: 1, 0b100: 1})
-    v0, v1 = split_by_top(v)
-    assert v0 == Vector(3, {A: 1})
-    assert v1 == Vector(3, {0b100: 1})
-    w = Vector(3, {0b101: 1, 0b100: -2})
-    w0, w1 = split_by_top(w)
-    assert w0.is_zero
-    assert w1 == w
-    z0, z1 = split_by_top(Vector(3, {E: 1}))
-    assert z0 == Vector(3, {E: 1}) and z1.is_zero
-    assert split_by_top(Vector.zero(0)) == (Vector.zero(0), Vector.zero(0))
-
-
-def test_split_parts_sum_back():
-    rng = random.Random(7)
-    for _ in range(50):
-        v = random_vector(5, rng)
-        v0, v1 = split_by_top(v)
-        assert v0 + v1 == v
-        assert all(not m >> 4 & 1 for m in v0.support())
-        assert all(m >> 4 & 1 for m in v1.support())
 
 
 def test_embed_requires_growth():

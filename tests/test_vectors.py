@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sjb.lattice import subsets_of_rank
 from sjb.vectors import (GroundSetMismatchError, NotHomogeneousError, Vector,
-                         as_homogeneous, homogeneous_rank)
+                         homogeneous_rank)
 
 E = 0b000  # {}
 A = 0b001  # {1}
@@ -69,11 +69,10 @@ def test_construction_prunes_and_merges():
 
 
 def test_homogeneous():
-    v, r = as_homogeneous(Vector(2, {A: 1, B: 1}))
-    assert r == 1
+    assert homogeneous_rank(Vector(2, {A: 1, B: 1})) == 1
     assert homogeneous_rank(Vector.zero(2)) is None
     with pytest.raises(NotHomogeneousError):
-        as_homogeneous(Vector(2, {E: 1, A: 1}))
+        homogeneous_rank(Vector(2, {E: 1, A: 1}))
 
 
 def test_items_sorted_by_mask():

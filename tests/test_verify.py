@@ -10,10 +10,11 @@ from sjb.jordan import JordanBasis, JordanChain, build_sjb
 from sjb.lattice import binomial
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd
 from sjb.vectors import Vector
-from sjb.verify import (InvalidChainError, check_orthogonality,
-                        check_ratio_uniformity, ratio_profile,
-                        unimodality_report, up_rank_check, verify_scd,
-                        verify_sjb, verify_sjc)
+from sjb.verify import (InvalidChainError, RatioProfile, chain_reports,
+                        check_orthogonality, check_ratio_uniformity,
+                        compare_profiles, ratio_groups, ratio_profile,
+                        ratio_uniformity, unimodality_report, up_rank_check,
+                        verify_scd, verify_sjb, verify_sjc)
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
 
@@ -112,6 +113,44 @@ def test_full_rank_ranks_only_stacks_of_the_right_size(monkeypatch):
                                         "expected": 6}
 
 
+def test_start_rank_counts_witness_never_expects_negative():
+    # Chain 1 of B(4) starts at rank 1 and has length 3.  Split it into a
+    # 2-vector chain and a 1-vector chain at rank 3: every rank count still
+    # holds, but rank 3 now starts a chain where no chain may start.
+    basis = build_sjb(4)
+    ch = basis.chains[1]
+    assert (ch.start_rank, ch.length) == (1, 3)
+    basis.chains[1:2] = [JordanChain(4, 1, ch.vectors[:2]),
+                         JordanChain(4, 3, ch.vectors[2:])]
+    failed = {c.name: c.witness for c in verify_sjb(basis, check_full_rank=False).failures()}
+    assert failed["start_rank_counts"] == {"start_rank": 3, "got": 1, "expected": 0}
+
+
+def test_chain_reports_are_lazy(monkeypatch):
+    import sjb.verify
+    calls = []
+
+    def spy(chain):
+        calls.append(chain)
+        return real(chain)
+
+    real = sjb.verify.verify_sjc
+    monkeypatch.setattr(sjb.verify, "verify_sjc", spy)
+    basis = build_sjb(4)
+    reports = chain_reports(basis)
+    assert calls == []
+    assert [ci for ci, rep in reports if rep.overall] == list(range(len(basis.chains)))
+    assert len(calls) == len(basis.chains)
+
+    # chains_valid stops at the first failing chain.
+    calls.clear()
+    basis.chains[1] = JordanChain(4, 1, basis.chains[1].vectors[:2])
+    failed = {c.name: c.witness for c in verify_sjb(basis, check_full_rank=False).failures()}
+    assert failed["chains_valid"] == {"chain": 1, "failed": ["top_annihilated",
+                                                             "rank_symmetry"]}
+    assert len(calls) == 2
+
+
 def test_verify_sjb_empty_basis_fails_count():
     report = verify_sjb(JordanBasis(0, []))
     assert not report.overall
@@ -197,6 +236,28 @@ def test_ratio_uniformity_detects_tampering():
     ok_sjc = all(verify_sjc(ch).overall for ch in basis.chains)
     uniform = check_ratio_uniformity(basis).overall
     assert not (ok_sjc and uniform)
+
+
+def test_ratio_uniformity_reads_grouped_profiles():
+    basis = build_sjb(5)
+    groups = ratio_groups(basis)
+    assert str(ratio_uniformity(5, groups)) == str(check_ratio_uniformity(basis))
+    ci, prof = groups[1][2]
+    groups[1][2] = (ci, RatioProfile(1, prof.ratios[:-1] + [prof.ratios[-1] / 9]))
+    failed = ratio_uniformity(5, groups).failures()
+    assert [(c.name, c.witness) for c in failed] == [
+        ("uniform_ratios[k=1]", {"start_rank": 1, "chain": ci,
+                                 "reference_chain": groups[1][0][0], "position": 2})]
+
+
+def test_compare_profiles():
+    for n in range(7):
+        assert compare_profiles(build_sjb(n), build_scd(n)).overall
+    decomp = build_scd(4)
+    decomp.chains.reverse()
+    report = compare_profiles(build_sjb(4), decomp)
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("equal_as_multisets", True), ("equal_chain_by_chain", False)]
 
 
 def test_up_rank_check_small():
