@@ -1,11 +1,14 @@
 """Symmetric chain decomposition: partition, symmetry, profile match."""
 
+import hashlib
+
 import pytest
 
 from sjb.jordan import build_sjb
 from sjb.lattice import CapacityError, binomial, rank_of
 from sjb.scd import (ChainDecomposition, SubsetChain, build_scd,
                      chain_length_profile, chain_length_sequence)
+from sjb.serialize import serialize
 
 
 def test_n0_and_n1():
@@ -86,3 +89,16 @@ def test_chain_properties():
     assert ch.start_rank == 1 and ch.top_rank == 2 and ch.length == 2
     d = ChainDecomposition(3, [ch])
     assert d.total_subsets() == 2
+
+
+# sha256 of serialize(build_scd(n)), recorded from the level-by-level build.
+PINNED_SHA256 = {
+    8: "d250d7b321b2be7aaa3fdda1c488dd494e3e4ed9dc85ed063e49db8687b7e140",
+    12: "585e4f832f03ac70455c79479aa313c1c3792f335b73dd1817e265b2539b65a7",
+    16: "af7ce698f6871a3c72f7b6495d32b0d85b54e19b038b4824d8c58b1141f5a15a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SHA256))
+def test_documents_match_pinned_hashes(n):
+    assert hashlib.sha256(serialize(build_scd(n))).hexdigest() == PINNED_SHA256[n]
