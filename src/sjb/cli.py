@@ -17,8 +17,9 @@ from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, build_scd, chain_length_profile
 from .serialize import DocumentError, export_up_matrix_csv, load, save
 from .verify import (VerificationReport, chain_reports, check_orthogonality,
-                     check_ratio_uniformity, compare_profiles, ratio_groups,
-                     ratio_uniformity, up_rank_check, verify_scd, verify_sjb)
+                     check_ratio_uniformity, check_stack_sizes, compare_profiles,
+                     ratio_groups, ratio_uniformity, up_rank_check, verify_scd,
+                     verify_sjb)
 
 
 def _error(message) -> int:
@@ -101,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    if args.all_levels and "{n}" not in args.out:
-        return _error("--all-levels requires an --out template containing {n}")
     check_ground_size(args.n, args.cap)
     levels = range(args.n + 1) if args.all_levels else [args.n]
     try:
@@ -110,6 +109,8 @@ def _cmd_build(args) -> int:
     except (KeyError, IndexError, ValueError) as exc:
         return _error(f"--out template {args.out!r} must format with {{n}} alone "
                       f"({type(exc).__name__}: {exc})")
+    if len(set(paths)) < len(paths):
+        return _error(f"--out template {args.out!r} must give each level its own path")
     builder = build_sjb if args.kind == "sjb" else build_scd
     for m, path in zip(levels, paths):
         obj = builder(m, cap=args.cap)
@@ -130,6 +131,8 @@ def _cmd_verify(args) -> int:
     unknown = [c for c in selected if c not in SJB_CHECKS]
     if unknown:
         return _error(f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
+    if "basis" in selected and not args.no_full_rank:
+        check_stack_sizes(obj)  # refuse an over-cap rank stack before any output
     passed = [check(obj, args) for name, check in SJB_CHECKS.items() if name in selected]
     return 0 if all(passed) else 1
 

@@ -5,20 +5,16 @@ vectors v_k, ..., v_{n-k} with up(v_l) = v_{l+1}, up(v_{n-k}) = 0, and
 ranks symmetric about n/2.  An SJB is a basis of the whole space that is
 a disjoint union of SJCs.
 
-The build adds one ground element at a time by a single recursion.  A
-chain x_k..x_{m-k} over {1..m} has two children over {1..m+1}, the
-extended chain
+The build adds one ground element at a time.  A chain x_k..x_{m-k} over
+{1..m} has two children over {1..m+1}, the extended chain
     y_l = x_l + (l-k) * lift(x_{l-1})        for l = k .. m+1-k
 and, when it holds at least two vectors, the shortened chain
     z_l = (m-k-l+1) * lift(x_{l-1}) - x_l    for l = k+1 .. m-k,
 reading x_{k-1} = x_{m+1-k} = 0.  A single middle-rank vector x (2k = m)
 has only the y child, (x, lift(x)); the paper calls this case (a).
 
-Every chain over {1..n} is thus a word over {y, z}, one letter per
-ground element, grown from the empty set.  Chains are emitted in
-depth-first word order, y before z, which is the order a level-by-level
-build gives (parents in stored order, y before z), so output is
-canonical.  Coefficients are kept exactly as constructed: rescaling any
+This module supplies the two step rules and `lattice.grow` walks the
+word tree.  Coefficients are kept exactly as constructed: rescaling any
 single vector would break the up-links.
 """
 
@@ -26,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import check_ground_size
+from .lattice import check_ground_size, grow
 from .vectors import Vector
 
 
@@ -72,35 +68,31 @@ class JordanBasis:
         return f"JordanBasis(n={self.n}, chains={len(self.chains)})"
 
 
-def _chains(n: int, m: int, k: int, xs: list[dict[int, int]]):
-    """(start rank, term dicts) of every chain over {1..n} descending from
-    the chain xs over {1..m} starting at rank k, in canonical order."""
-    if m == n:
-        yield k, xs
-        return
-    bit = 1 << m  # the new element m+1
-    # With x = xs[i] at rank l = k+i, y_{l+1} takes (l+1-k) * lift(x) and
-    # z_{l+1} takes (m-k-l) * lift(x).  Lifted masks hold the new element
-    # and unlifted ones do not, so no two terms collide; every factor is
-    # positive, so no zero is stored.
+# Step rules on the term dicts x_k..x_{m-k} of a chain; bit is element m+1.
+# With x = xs[i] at rank l = k+i, y_{l+1} takes (i+1) * lift(x) and z_{l+1}
+# takes (m-2k-i) * lift(x), m-2k = len(zs).  Lifted and unlifted masks never
+# collide, and every factor is positive, so no zero is stored.
+def _y(xs: list[dict[int, int]], bit: int) -> list[dict[int, int]]:
     ys = [dict(x) for x in xs] + [{}]
     for i, x in enumerate(xs):
         ys[i + 1].update({s | bit: (i + 1) * c for s, c in x.items()})
-    yield from _chains(n, m + 1, k, ys)
+    return ys
+
+
+def _z(xs: list[dict[int, int]], bit: int) -> list[dict[int, int]]:
     zs = [{s: -c for s, c in x.items()} for x in xs[1:]]
     for i, z in enumerate(zs):
         z.update({s | bit: (len(zs) - i) * c for s, c in xs[i].items()})
-    if zs:
-        yield from _chains(n, m + 1, k + 1, zs)
+    return zs
 
 
 def build_sjb(n: int, cap: int | None = None) -> JordanBasis:
     """Symmetric Jordan basis of the space on subsets of {1..n}.
 
-    Deterministic: repeated builds produce identical chains in identical
-    order.  Only the chains on the current path of the recursion are held
-    besides the basis itself.
+    Deterministic, and holds only the chains on the walk's current path
+    besides the basis.  A chain of length L starts at rank (n + 1 - L) / 2.
     """
     check_ground_size(n, cap)
-    return JordanBasis(n, [JordanChain(n, k, [Vector._from_terms(n, x) for x in xs])
-                           for k, xs in _chains(n, 0, 0, [{0: 1}])])
+    return JordanBasis(n, [JordanChain(n, (n + 1 - len(xs)) // 2,
+                                       [Vector._from_terms(n, x) for x in xs])
+                           for xs in grow(n, [{0: 1}], _y, _z)])

@@ -81,6 +81,23 @@ def chains_starting(n: int, k: int) -> int:
     return max(binomial(n, k) - binomial(n, k - 1), 0)
 
 
+def grow(n: int, chain, y, z):
+    """Chains over {1..n} grown from `chain` (over the empty set), depth first.
+
+    A chain over {1..m} has the children y(chain, bit) and, if it has two or
+    more members, z(chain, bit), bit being the mask of element m+1; y comes
+    before z.  This word order is the canonical order of both builders.
+    """
+    def walk(chain, bit):
+        if bit >> n:
+            yield chain
+            return
+        yield from walk(y(chain, bit), bit << 1)
+        if len(chain) >= 2:
+            yield from walk(z(chain, bit), bit << 1)
+    return walk(chain, 1)
+
+
 def covers_of(mask: int, n: int) -> list[int]:
     """Subsets covering `mask` in B(n): supersets with one more element."""
     return [mask | (1 << i) for i in range(n) if not mask >> i & 1]

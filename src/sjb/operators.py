@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from .lattice import CapacityError, binomial, covered_by, covers_of, subsets_of_rank
 from .vectors import Vector
 
-# Ranking a dense up matrix peaks at about 32 bytes per entry: the Python
-# row lists, then the int64 residues and the elimination's temporaries
-# (measured: 346 MB for n=14, k=6, 121 MB for n=13, k=6).  2**26 entries
-# keep that near 2 GB and admit every k for n <= 15.
+# Ranking a dense matrix peaks at about 32 bytes per entry: the Python row
+# lists, then the int64 residues and the elimination's temporaries
+# (measured: 346 MB for the up matrix of n=14, k=6).  2**26 entries keep
+# that near 2 GB and admit every up matrix and basis stack for n <= 15.
 UP_MATRIX_MAX_ENTRIES = 1 << 26
 
 
@@ -80,12 +80,16 @@ class UpMatrix:
         return len(self.row_basis), len(self.col_basis)
 
 
+def check_matrix_size(rows: int, cols: int, what: str) -> None:
+    """Raise CapacityError if a dense rows x cols matrix is over the cap."""
+    if rows * cols > UP_MATRIX_MAX_ENTRIES:
+        raise CapacityError(f"{what} has {rows * cols} entries, "
+                            f"over the cap of {UP_MATRIX_MAX_ENTRIES}")
+
+
 def check_up_matrix_size(n: int, k: int) -> None:
     """Raise CapacityError if the rank-k up matrix of B(n) is over the cap."""
-    entries = binomial(n, k + 1) * binomial(n, k)
-    if entries > UP_MATRIX_MAX_ENTRIES:
-        raise CapacityError(f"up matrix for n={n}, k={k} has {entries} entries, "
-                            f"over the cap of {UP_MATRIX_MAX_ENTRIES}")
+    check_matrix_size(binomial(n, k + 1), binomial(n, k), f"up matrix for n={n}, k={k}")
 
 
 def up_matrix(n: int, k: int) -> UpMatrix:

@@ -1,12 +1,10 @@
 """Symmetric chain decomposition (SCD) of the subset lattice.
 
 Partitions the subsets of {1..n} into saturated chains symmetric about
-rank n/2, by the same one-element-at-a-time recursion the Jordan basis
-build follows: a chain C = (X_k, ..., X_{n-k}) over {1..n} emits the
-extended chain (X_k, ..., X_{n-k}, X_{n-k} + {n+1}) and, when C has at
-least two subsets, the shortened chain (X_k + {n+1}, ..., X_{n-k-1} +
-{n+1}).  Emission order mirrors the basis builder chain for chain, which
-is what makes the two length profiles comparable position by position.
+rank n/2.  The step rules mirror the Jordan basis build's: a chain
+(X_k..X_{m-k}) over {1..m} has the y child (X_k..X_{m-k}, X_{m-k}+{m+1})
+and the z child (X_k+{m+1}..X_{m-k-1}+{m+1}).  `lattice.grow` walks both
+word trees, so the two length profiles agree position by position.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .lattice import check_ground_size, rank_of
+from .lattice import check_ground_size, grow, rank_of
 
 
 @dataclass
@@ -49,16 +47,9 @@ class ChainDecomposition:
 def build_scd(n: int, cap: int | None = None) -> ChainDecomposition:
     """Partition of the subsets of {1..n} into symmetric saturated chains."""
     check_ground_size(n, cap)
-    chains: list[list[int]] = [[0]]
-    for m in range(n):
-        bit = 1 << m
-        new_chains: list[list[int]] = []
-        for ch in chains:
-            new_chains.append(ch + [ch[-1] | bit])
-            if len(ch) >= 2:
-                new_chains.append([s | bit for s in ch[:-1]])
-        chains = new_chains
-    return ChainDecomposition(n, [SubsetChain(n, ch) for ch in chains])
+    return ChainDecomposition(n, [SubsetChain(n, ch) for ch in grow(
+        n, [0], lambda ch, bit: ch + [ch[-1] | bit],
+        lambda ch, bit: [s | bit for s in ch[:-1]])])
 
 
 def chain_length_sequence(obj) -> list[tuple[int, int]]:

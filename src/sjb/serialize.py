@@ -18,7 +18,7 @@ import os
 from typing import Union
 
 from .jordan import JordanBasis, JordanChain
-from .lattice import elements_to_mask, mask_to_elements, subset_str
+from .lattice import HARD_CAP, elements_to_mask, mask_to_elements, subset_str
 from .operators import up_matrix
 from .scd import ChainDecomposition, SubsetChain
 from .vectors import Vector
@@ -163,8 +163,8 @@ def _build(doc, chains) -> Serializable:
              f"unsupported format_version {doc.get('format_version')!r}")
     kind, n = doc.get("kind"), doc.get("n")
     _require(kind in ("sjb", "scd"), f"unknown kind {kind!r}")
-    _require(isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= 63,
-             f"n must be an integer in 0..63, got {n!r}")
+    _require(isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= HARD_CAP,
+             f"n must be an integer in 0..{HARD_CAP}, got {n!r}")
     if chains is None:
         chains = doc.get("chains")
         _require(isinstance(chains, list), "chains must be a list")

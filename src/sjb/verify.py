@@ -15,7 +15,7 @@ from fractions import Fraction
 from .elimination import exact_rank
 from .jordan import JordanBasis, JordanChain
 from .lattice import binomial, chains_starting, rank_of, subsets_of_rank
-from .operators import up, up_matrix
+from .operators import check_matrix_size, up, up_matrix
 from .scd import ChainDecomposition, chain_length_profile, chain_length_sequence
 from .vectors import NotHomogeneousError, homogeneous_rank
 
@@ -97,11 +97,8 @@ def verify_sjc(chain: JordanChain) -> VerificationReport:
             break
     report.add("vectors_homogeneous", bad_h is None, bad_h)
 
-    bad_link = None
-    for i in range(chain.length - 1):
-        if up(chain.vectors[i]) != chain.vectors[i + 1]:
-            bad_link = {"position": i}
-            break
+    bad_link = next(({"position": i} for i in range(chain.length - 1)
+                     if up(chain.vectors[i]) != chain.vectors[i + 1]), None)
     report.add("up_links", bad_link is None, bad_link)
 
     top = up(chain.vectors[-1])
@@ -143,14 +140,24 @@ def _rank_matrix(basis: JordanBasis, r: int) -> list[list[int]] | None:
     return rows
 
 
+def check_stack_sizes(basis: JordanBasis) -> None:
+    """Raise CapacityError if a square rank stack is over the dense-matrix cap."""
+    for r in range(basis.n + 1):
+        count = len(basis.vectors_of_rank(r))
+        if count == binomial(basis.n, r):
+            check_matrix_size(count, count, f"rank {r} stack of n={basis.n}")
+
+
 def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> VerificationReport:
     """Check a full basis: chains, counts, and per-rank linear independence.
 
     The per-rank full-rank check runs exact_rank on a C(n,r) x C(n,r)
-    integer matrix per rank; disable it via check_full_rank for large n
-    where only the structural checks are wanted.
+    integer matrix per rank, and raises CapacityError past the dense cap;
+    disable it via check_full_rank where only the structural checks are wanted.
     """
     n = basis.n
+    if check_full_rank:
+        check_stack_sizes(basis)
     report = VerificationReport(f"sjb n={n} chains={len(basis.chains)}")
 
     bad_chain = next(({"chain": ci, "failed": [c.name for c in sub.failures()]}
@@ -160,18 +167,14 @@ def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> Verification
     total = basis.total_vectors()
     report.add("total_count", total == 2 ** n, {"got": total, "expected": 2 ** n})
 
-    bad_rank = None
-    for r in range(n + 1):
-        got = len(basis.vectors_of_rank(r))
-        if got != binomial(n, r):
-            bad_rank = {"rank": r, "got": got, "expected": binomial(n, r)}
-            break
+    counts = [len(basis.vectors_of_rank(r)) for r in range(n + 1)]
+    bad_rank = next(({"rank": r, "got": got, "expected": binomial(n, r)}
+                     for r, got in enumerate(counts) if got != binomial(n, r)), None)
     report.add("rank_counts", bad_rank is None, bad_rank)
     _check_start_ranks(report, n, basis.chains)
 
     if check_full_rank:
-        for r in range(n + 1):
-            count = len(basis.vectors_of_rank(r))
+        for r, count in enumerate(counts):
             expected = binomial(n, r)
             # The stack must be square (C(n,r) vectors of rank r) and
             # nonsingular.  A stack of the wrong size fails without being
@@ -303,15 +306,9 @@ def verify_scd(decomp: ChainDecomposition) -> VerificationReport:
     report.add("covers_all", len(seen) == 2 ** n,
                {"got": len(seen), "expected": 2 ** n})
 
-    bad_sat = None
-    for ci, ch in enumerate(decomp.chains):
-        for i in range(len(ch.subsets) - 1):
-            a, b = ch.subsets[i], ch.subsets[i + 1]
-            if not (a & b == a and rank_of(b) == rank_of(a) + 1):
-                bad_sat = {"chain": ci, "position": i}
-                break
-        if bad_sat:
-            break
+    bad_sat = next(({"chain": ci, "position": i} for ci, ch in enumerate(decomp.chains)
+                    for i, (a, b) in enumerate(zip(ch.subsets, ch.subsets[1:]))
+                    if a & b != a or rank_of(b) != rank_of(a) + 1), None)
     report.add("saturated", bad_sat is None, bad_sat)
 
     bad_sym = next(({"chain": ci} for ci, ch in enumerate(decomp.chains)

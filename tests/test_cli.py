@@ -1,5 +1,6 @@
 """Command-line surface: subcommand flows and exit codes."""
 
+import itertools
 import json
 import re
 import time
@@ -257,6 +258,39 @@ def test_forged_one_chain_document_fails_fast(tmp_path, capsys):
            "'computed_rank': None, 'expected': 137846528820}" in text
 
 
+@pytest.fixture(scope="module")
+def forged_singletons(tmp_path_factory):
+    """n = 63 documents: the empty set plus every r-subset as its own chain."""
+    d = tmp_path_factory.mktemp("forged")
+    paths = {}
+    for r in (2, 3):
+        chains = [{"start_rank": 0, "vectors": [[{"subset": [], "coeff": "1"}]]}]
+        chains += [{"start_rank": r, "vectors": [[{"subset": list(s), "coeff": "1"}]]}
+                   for s in itertools.combinations(range(1, 64), r)]
+        paths[r] = d / f"rank{r}.json"
+        paths[r].write_text(json.dumps({"format_version": "1", "kind": "sjb", "n": 63,
+                                        "chains": chains}))
+    return paths
+
+
+@pytest.mark.parametrize("checks", [[], ["--checks", "basis"]])
+def test_forged_over_cap_stack_exits_2_fast(forged_singletons, capsys, checks):
+    # 39,711 rank-3 vectors: ranking them needs a 39,711 x 39,711 matrix.
+    start = time.perf_counter()
+    assert main(["verify", str(forged_singletons[3])] + checks) == 2
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: rank 3 stack of n=63 has 1576963521 entries, "
+                   "over the cap of 67108864\n")
+
+
+def test_forged_under_cap_stack_is_still_ranked(forged_singletons, capsys):
+    assert main(["verify", str(forged_singletons[2]), "--checks", "basis"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS full_rank[r=2]\n" in out and "overall: FAIL" in out
+
+
 def test_verify_off_rank_term_exits_1(tmp_path, capsys):
     # Right counts, but chain 0's first vector holds {1} at rank 0.
     doc = json.loads(serialize(build_sjb(2)))
@@ -297,6 +331,22 @@ def test_build_all_levels_refuses_bad_template(tmp_path, capsys, field, error):
     assert err.startswith(f"error: --out template {template!r} must format with {{n}} alone")
     assert error in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_build_all_levels_refuses_escaped_n(tmp_path, capsys):
+    # Every level formats to the same path a{n}.json.
+    template = str(tmp_path / "a{{n}}.json")
+    assert main(["build", "--all-levels", "--n", "2", "--out", template]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out template {template!r} must give each level its own path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_all_levels_accepts_format_spec(tmp_path):
+    template = str(tmp_path / "l{n:02d}.json")
+    assert main(["build", "--all-levels", "--n", "2", "--out", template]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l00.json", "l01.json", "l02.json"]
+    assert load(tmp_path / "l02.json") == build_sjb(2)
 
 
 def test_build_stdout_pinned(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 import pytest
 
+import sjb
 from sjb.lattice import (CapacityError, binomial, chains_starting, check_ground_size,
-                         covered_by, covers_of, elements_to_mask, ground_cap,
+                         covered_by, covers_of, elements_to_mask, ground_cap, grow,
                          mask_to_elements, rank_of, subset_str,
                          subsets_of_rank)
 
@@ -160,3 +161,42 @@ def test_ground_size_cap(monkeypatch):
     monkeypatch.setenv("SJB_N_CAP", "99")
     with pytest.raises(CapacityError):
         ground_cap()
+
+
+def _recording_rules(calls):
+    def y(ch, bit):
+        calls.append(("y", bit))
+        return ch + [ch[-1] | bit]
+
+    def z(ch, bit):
+        calls.append(("z", bit))
+        return [s | bit for s in ch[:-1]]
+    return y, z
+
+
+def test_grow_walks_depth_first_y_before_z():
+    calls = []
+    walk = grow(3, [0], *_recording_rules(calls))
+    assert calls == []  # lazy: nothing is grown before the first chain is asked for
+    assert next(walk) == [0b000, 0b001, 0b011, 0b111]
+    assert calls == [("y", 1), ("y", 2), ("y", 4)]
+    # The z child is grown only after the y child's whole subtree is out,
+    # and a one-member chain ([0] at the root, [2] at the end) gets no z child.
+    assert list(walk) == [[0b100, 0b101], [0b010, 0b110]]
+    assert calls == [("y", 1), ("y", 2), ("y", 4), ("z", 4), ("z", 2), ("y", 4)]
+
+
+def test_grow_at_n0_yields_the_start_chain_only():
+    calls = []
+    assert list(grow(0, [0], *_recording_rules(calls))) == [[0]]
+    assert calls == []
+
+
+def test_grow_leaf_count_is_the_middle_binomial():
+    for n in range(11):
+        leaves = sum(1 for _ in grow(n, [0], *_recording_rules([])))
+        assert leaves == binomial(n, n // 2)
+
+
+def test_grow_is_not_exported():
+    assert not hasattr(sjb, "grow") and "grow" not in sjb.__all__

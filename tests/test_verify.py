@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
-from sjb.lattice import binomial
+from sjb.lattice import CapacityError, binomial, subsets_of_rank
+from sjb.operators import UP_MATRIX_MAX_ENTRIES
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd
 from sjb.vectors import Vector
 from sjb.verify import (InvalidChainError, RatioProfile, chain_reports,
-                        check_orthogonality, check_ratio_uniformity,
+                        check_orthogonality, check_ratio_uniformity, check_stack_sizes,
                         compare_profiles, ratio_groups, ratio_profile,
                         ratio_uniformity, unimodality_report, up_rank_check,
                         verify_scd, verify_sjb, verify_sjc)
@@ -328,3 +329,46 @@ def test_report_rendering():
     text = str(report)
     assert "overall: PASS" in text
     assert "PASS chains_valid" in text
+
+
+def forged_singletons(n, r):
+    """The empty set plus one single-vector chain per r-subset of {1..n}."""
+    chains = [JordanChain(n, 0, [Vector(n, {0: 1})])]
+    chains += [JordanChain(n, r, [Vector(n, {s: 1})]) for s in subsets_of_rank(n, r)]
+    return JordanBasis(n, chains)
+
+
+def test_over_cap_stack_is_refused_before_any_matrix(monkeypatch):
+    # C(63, 3) = 39,711 rank-3 vectors: a square stack of 1.6e9 entries.
+    basis = forged_singletons(63, 3)
+
+    def no_matrix(*args):
+        raise AssertionError("built the rows of an over-cap stack")
+
+    monkeypatch.setattr("sjb.verify._rank_matrix", no_matrix)
+    monkeypatch.setattr("sjb.verify.exact_rank", no_matrix)
+    with pytest.raises(CapacityError, match="rank 3 stack of n=63 has 1576963521 entries"):
+        check_stack_sizes(basis)
+    with pytest.raises(CapacityError, match="over the cap"):
+        verify_sjb(basis)
+    report = verify_sjb(basis, check_full_rank=False)
+    assert not report.overall and not any(c.name.startswith("full_rank") for c in report.checks)
+
+
+def test_under_cap_forged_stack_is_still_ranked():
+    basis = forged_singletons(63, 2)
+    check_stack_sizes(basis)
+    checks = {c.name: c for c in verify_sjb(basis).checks}
+    assert checks["full_rank[r=0]"].passed and checks["full_rank[r=2]"].passed
+    assert checks["full_rank[r=1]"].witness["computed_rank"] is None
+
+
+def test_stack_cap_admits_every_rank_up_to_n15():
+    def full_stacks(n):  # C(n, r) placeholder vectors at every rank r
+        return JordanBasis(n, [JordanChain(n, r, [Vector(n, {})])
+                               for r in range(n + 1) for _ in range(binomial(n, r))])
+
+    check_stack_sizes(full_stacks(15))
+    with pytest.raises(CapacityError, match="rank 7 stack of n=16"):
+        check_stack_sizes(full_stacks(16))
+    assert binomial(15, 7) ** 2 <= UP_MATRIX_MAX_ENTRIES < binomial(16, 7) ** 2
