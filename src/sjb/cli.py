@@ -131,7 +131,7 @@ def _cmd_verify(args) -> int:
     unknown = [c for c in selected if c not in SJB_CHECKS]
     if unknown:
         return _error(f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
-    if "basis" in selected and not args.no_full_rank:
+    if "ortho" in selected or ("basis" in selected and not args.no_full_rank):
         check_stack_sizes(obj)  # refuse an over-cap rank stack before any output
     passed = [check(obj, args) for name, check in SJB_CHECKS.items() if name in selected]
     return 0 if all(passed) else 1

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 from typing import Union
 
 from .jordan import JordanBasis, JordanChain
@@ -169,9 +170,11 @@ def _build(doc, chains) -> Serializable:
         chains = doc.get("chains")
         _require(isinstance(chains, list), "chains must be a list")
     key = "vectors" if kind == "sjb" else "subsets"
-    # Each distinct subset list and coefficient string is checked once.
-    built, masks, coeffs = [], {}, {}
+    built = []
     for ci, ch in enumerate(chains):
+        if isinstance(ch, JordanChain):  # streamed, and checked by _Reader.canonical_chain
+            built.append(ch)
+            continue
         _require(isinstance(ch, dict), f"chain {ci} must be an object")
         start = ch.get("start_rank")
         _require(isinstance(start, int) and not isinstance(start, bool)
@@ -195,17 +198,10 @@ def _build(doc, chains) -> Serializable:
             for t in terms_raw:
                 if not (isinstance(t, dict) and t.keys() == {"subset", "coeff"}):
                     raise DocumentError(f"{where}: term must have subset and coeff")
-                raw, c = t["subset"], t["coeff"]
-                # Keyed by repr, since 1, 1.0 and True are equal as dict keys.
-                mask = masks.get(repr(raw) if type(raw) is list else None)
-                if mask is None:
-                    mask = masks[repr(raw)] = _parse_subset(raw, n)
+                mask = _parse_subset(t["subset"], n)
                 if mask in terms:
-                    raise DocumentError(f"{where}: repeated subset {raw!r}")
-                value = coeffs.get(c) if type(c) is str else None
-                if value is None:
-                    value = coeffs[c] = _parse_coeff(c)
-                terms[mask] = value
+                    raise DocumentError(f"{where}: repeated subset {t['subset']!r}")
+                terms[mask] = _parse_coeff(t["coeff"])
             vectors.append(Vector._from_terms(n, terms))  # checked above
         built.append(JordanChain(n, start, vectors))
     return JordanBasis(n, built) if kind == "sjb" else ChainDecomposition(n, built)
@@ -219,6 +215,16 @@ def from_document(doc) -> Serializable:
 _BLOCK = 1 << 20  # characters read from the file at a time
 _DECODER = json.JSONDecoder()
 
+# The writer's chain: head, vectors joined by _VECTOR_SEP, end and a delimiter.
+_CHAIN_HEAD = re.compile(r'\{\n      "start_rank": (0|[1-9][0-9]?),\n'
+                         r'      "vectors": \[\n        \[\n')
+_VECTOR_SEP = "\n        ],\n        [\n"
+_CHAIN_END = re.compile(r"\n        \]\n      \]\n    \}[ \t\n\r,:\]}]")
+# Subsets are digits, spaces, newlines and commas: no match scans past a term.
+_TERM = re.compile(re.escape(_TERM_OPEN) + r"(\[[0-9 \n,]*\])" + re.escape(_COEFF_OPEN)
+                   + r"(-?[0-9]+)" + re.escape(_TERM_CLOSE) + r"(?:,\n|\Z)")
+_TERM_FIXED = len(_TERM_OPEN + _COEFF_OPEN + _TERM_CLOSE + ",\n")
+
 
 class _NotAnObject(Exception):
     """The text is not a JSON object, or not JSON at all."""
@@ -230,6 +236,8 @@ class _Reader:
 
     def __init__(self, fh):
         self.fh, self.buf, self.pos = fh, "", 0
+        # Whether to try canonical_chain, and the subset and coeff texts it met.
+        self.canonical, self.masks, self.coeffs = True, {}, {}
 
     def _fill(self) -> bool:
         # Reading at least what is left keeps re-decoding long values linear.
@@ -265,6 +273,42 @@ class _Reader:
                 return value
             if not self._fill():
                 raise _NotAnObject
+
+    def canonical_chain(self, n: int) -> JordanChain | None:
+        """The next chain if it is an sjb chain as the writer prints it, its
+        terms checked as _build checks them; else None, consuming nothing.
+        A chain with the writer's head but not its end may be read ahead."""
+        if not self.canonical or self.peek() != "{":
+            return None
+        while len(self.buf) - self.pos < 64 and self._fill():  # 64 > any head
+            pass
+        head = _CHAIN_HEAD.match(self.buf, self.pos)
+        if head is None or int(head[1]) > n:
+            return None
+        self.canonical = False  # a refusal may scan a block: refuse only once
+        # A refill at least doubles the text from pos: searching again stays linear.
+        while (end := _CHAIN_END.search(self.buf, self.pos)) is None:
+            if not self._fill():
+                return None
+        vectors = []
+        try:
+            for text in self.buf[self.pos + len(head[0]):end.start()].split(_VECTOR_SEP):
+                subsets, coeff_texts = zip(*_TERM.findall(text))
+                for t in set(subsets).difference(self.masks):
+                    self.masks[t] = _parse_subset(json.loads(t), n)
+                for t in set(coeff_texts).difference(self.coeffs):
+                    self.coeffs[t] = _parse_coeff(t)
+                terms = dict(zip(map(self.masks.get, subsets),
+                                 map(self.coeffs.get, coeff_texts)))
+                # Matches never overlap: if their lengths add up, they tile the text.
+                if len(terms) != len(subsets) or len(text) != len(
+                        "".join(subsets + coeff_texts)) + len(subsets) * _TERM_FIXED - 2:
+                    return None
+                vectors.append(Vector._from_terms(n, terms))
+        except (ValueError, RecursionError):  # no terms, a failed check, not JSON
+            return None
+        self.canonical, self.pos = True, end.end() - 1
+        return JordanChain(n, int(head[1]), vectors)
 
     def members(self, close: str):
         """Yield once per member of the object or array just opened."""
@@ -302,7 +346,8 @@ def _walk(fh) -> Serializable:
             if (key == "chains" and {"format_version", "kind", "n"} <= doc.keys()
                     and reader.peek() == "["):
                 reader.take("[")
-                chains = (reader.value() for _ in reader.members("]"))
+                chains = (doc["kind"] == "sjb" and reader.canonical_chain(doc["n"])
+                          or reader.value() for _ in reader.members("]"))
                 result = doc[key] = _build(doc, chains)
             else:
                 doc[key] = reader.value()

@@ -7,6 +7,8 @@ never stored.  Vectors are treated as immutable after construction.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Mapping
 
 from .lattice import rank_of, subset_str
@@ -123,7 +125,7 @@ class Vector:
         a, b = self._terms, other._terms
         if len(b) < len(a):
             a, b = b, a
-        return sum(c * b[m] for m, c in a.items() if m in b)
+        return sum(map(mul, a.values(), map(b.get, a, repeat(0))))
 
     def norm_sq(self) -> int:
         """Squared euclidean length, an exact non-negative integer."""

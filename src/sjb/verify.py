@@ -141,11 +141,12 @@ def _rank_matrix(basis: JordanBasis, r: int) -> list[list[int]] | None:
 
 
 def check_stack_sizes(basis: JordanBasis) -> None:
-    """Raise CapacityError if a square rank stack is over the dense-matrix cap."""
+    """Raise CapacityError if the vectors of a rank are too many to rank as a
+    square matrix or to take every inner product of: a document may repeat
+    vectors, so every rank counts, not only those holding C(n, r) vectors."""
     for r in range(basis.n + 1):
         count = len(basis.vectors_of_rank(r))
-        if count == binomial(basis.n, r):
-            check_matrix_size(count, count, f"rank {r} stack of n={basis.n}")
+        check_matrix_size(count, count, f"rank {r} stack of n={basis.n}")
 
 
 def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> VerificationReport:
@@ -192,8 +193,10 @@ def check_orthogonality(basis: JordanBasis) -> VerificationReport:
     """All distinct basis vectors of equal rank have inner product zero.
 
     Vectors of different ranks have disjoint supports, so cross-rank
-    pairs are zero structurally and are not recomputed.
+    pairs are zero structurally and are not recomputed.  Raises
+    CapacityError, before any inner product, past the dense-matrix cap.
     """
+    check_stack_sizes(basis)
     report = VerificationReport(f"orthogonality n={basis.n}")
     for r in range(basis.n + 1):
         vecs = basis.vectors_of_rank(r)

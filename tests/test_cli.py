@@ -291,6 +291,23 @@ def test_forged_under_cap_stack_is_still_ranked(forged_singletons, capsys):
     assert "PASS full_rank[r=2]\n" in out and "overall: FAIL" in out
 
 
+@pytest.mark.parametrize("checks", [["--checks", "ortho"], ["--no-full-rank"]])
+def test_forged_over_cap_rank_skips_pairwise_check(forged_singletons, capsys, checks):
+    # 39,711 rank-3 vectors: 788M inner products, about ten minutes.
+    start = time.perf_counter()
+    assert main(["verify", str(forged_singletons[3])] + checks) == 2
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: rank 3 stack of n=63 has 1576963521 entries, "
+                   "over the cap of 67108864\n")
+
+
+def test_forged_under_cap_rank_still_gets_pairwise_check(forged_singletons, capsys):
+    assert main(["verify", str(forged_singletons[2]), "--checks", "ortho"]) == 0
+    assert "PASS orthogonal[r=2]\n" in capsys.readouterr().out
+
+
 def test_verify_off_rank_term_exits_1(tmp_path, capsys):
     # Right counts, but chain 0's first vector holds {1} at rank 0.
     doc = json.loads(serialize(build_sjb(2)))

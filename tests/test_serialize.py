@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -507,3 +508,119 @@ def test_save_failure_leaves_target_untouched(tmp_path):
         save(huge, path)
     assert os.listdir(tmp_path) == ["doc.json"]
     assert path.read_bytes() == serialize(build_sjb(2))
+
+
+# Chains in the writer's layout are read from their text; any other chain is
+# decoded and checked as before, with the same errors.
+
+def sjb_chains_decoded(monkeypatch) -> list:
+    """Spy on _Reader.value: the sjb chains it decodes, alone or as the whole
+    chains array, are appended to the list."""
+    decoded, value = [], serialize_module._Reader.value
+
+    def spy(reader):
+        v = value(reader)
+        decoded.extend(c for c in (v if isinstance(v, list) else [v])
+                       if isinstance(c, dict) and "vectors" in c)
+        return v
+
+    monkeypatch.setattr(serialize_module._Reader, "value", spy)
+    return decoded
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1 << 20])
+def test_canonical_chains_match_oracle_at_every_block_size(tmp_path, monkeypatch, block):
+    # Small blocks cut chain heads and end markers at block edges.
+    decoded = sjb_chains_decoded(monkeypatch)
+    monkeypatch.setattr(serialize_module, "_BLOCK", block)
+    for n in range(10):
+        text = serialize(build_sjb(n)).decode()
+        want = from_document(json.loads(text))
+        path = tmp_path / f"b{n}.json"
+        path.write_text(text)
+        assert deserialize(text) == want and load(path) == want
+    assert decoded == []
+
+
+def test_only_canonical_layout_skips_the_decoder(monkeypatch):
+    decoded = sjb_chains_decoded(monkeypatch)
+    basis = build_sjb(5)
+    doc = to_document(basis)
+    assert deserialize(serialize(basis)) == basis and decoded == []
+    for text in (json.dumps(doc, separators=(",", ":")), json.dumps(doc, sort_keys=True)):
+        decoded.clear()
+        assert deserialize(text) == basis
+        assert len(decoded) == len(basis.chains)
+
+
+def test_chain_outside_the_layout_is_decoded_with_all_after_it(monkeypatch):
+    # Valid JSON, but chain 1 has one extra space: it and every later chain
+    # take the decoder, and the result is unchanged.
+    decoded = sjb_chains_decoded(monkeypatch)
+    basis = build_sjb(5)
+    text = serialize(basis).decode()
+    cut = text.index('"coeff": ', text.index('"start_rank": 1'))
+    text = text[:cut] + '"coeff":  ' + text[cut + 9:]
+    assert deserialize(text) == basis == oracle(text)
+    assert len(decoded) == len(basis.chains) - 1
+
+
+def canonical_fault(edit) -> str:
+    """The writer's layout of build_sjb(4)'s document with chain 2 edited."""
+    doc = to_document(build_sjb(4))
+    edit(doc["chains"][2])
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def first_term(**fields):
+    return lambda ch: ch["vectors"][1][0].update(fields)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (first_term(coeff="0"), "zero coefficients must not be stored"),
+    (first_term(coeff="-0"), "coeff is not in canonical form: '-0'"),
+    (first_term(coeff="01"), "coeff is not in canonical form: '01'"),
+    (first_term(coeff="1" * 5000), "coeff is not a decimal integer: '%s'" % ("1" * 5000)),
+    (lambda ch: ch["vectors"][1].append(dict(ch["vectors"][1][0], coeff="7")),
+     "chain 2 vector 1: repeated subset [1, 2]"),
+    (first_term(subset=[0, 2]), "element 0 outside 1..4"),
+    (first_term(subset=[1, 5]), "element 5 outside 1..4"),
+    (first_term(subset=[3, 1]), "subset must be sorted without repeats: [3, 1]"),
+    (lambda ch: ch.update(start_rank=5), "chain 2: bad start_rank 5"),
+    (lambda ch: ch["vectors"].insert(1, []),
+     "chain 2 vector 1: terms must be a non-empty list"),
+], ids=["zero", "minus-zero", "leading-zero", "5000-digits", "repeated-subset",
+        "element-0", "element-n+1", "unsorted", "start-rank-n+1", "empty-vector"])
+def test_fault_in_canonical_text_keeps_its_message(edit, message):
+    text = canonical_fault(edit)
+    assert str(streamed(text)) == str(oracle(text)) == message
+
+
+def test_unterminated_canonical_chain_fails_in_linear_time(monkeypatch):
+    # A chain head, then 8 MB of terms and no end marker: the search for the
+    # end reads on to the end of the file, doubling its buffer at each refill.
+    monkeypatch.setattr(serialize_module, "_BLOCK", 1)
+    fills, fill = [], serialize_module._Reader._fill
+    monkeypatch.setattr(serialize_module._Reader, "_fill",
+                        lambda reader: fills.append(1) or fill(reader))
+    term = '          {\n            "subset": [],\n            "coeff": "1"\n          },\n'
+    text = ('{\n  "format_version": "1",\n  "kind": "sjb",\n  "n": 3,\n  "chains": [\n'
+            '    {\n      "start_rank": 0,\n      "vectors": [\n        [\n'
+            + term * (8_000_000 // len(term)))
+    start = time.perf_counter()
+    assert str(streamed(text)) == str(oracle(text))
+    assert str(oracle(text)).startswith("not valid JSON: Expecting")
+    assert time.perf_counter() - start < 10.0
+    assert len(fills) < 64
+
+
+def test_unmatched_subset_brackets_are_refused_in_linear_time():
+    # 20,000 terms each opening a subset that never closes; a pattern free to
+    # scan across terms would retry the rest of the chain from each of them.
+    text = serialize(build_sjb(3)).decode()
+    end = text.index("\n        ]\n      ]\n    }")
+    bad = '          {\n            "subset": [1'
+    text = text[:end] + ",\n" + bad * 20_000 + text[end:]
+    start = time.perf_counter()
+    assert str(streamed(text)) == str(oracle(text))
+    assert time.perf_counter() - start < 10.0

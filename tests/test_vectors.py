@@ -122,3 +122,35 @@ def test_distinct_rank_homogeneous_vectors_orthogonal(n, data):
                                           st.integers(-5, 5), min_size=1))
         vs.append(Vector(n, terms))
     assert vs[0].dot(vs[1]) == 0
+
+
+def generator_dot(a: Vector, b: Vector) -> int:
+    """The inner product as a generator over the smaller support."""
+    x, y = a._terms, b._terms
+    if len(y) < len(x):
+        x, y = y, x
+    return sum(c * y[m] for m, c in x.items() if m in y)
+
+
+BIG = st.integers(-(1 << 80), 1 << 80).filter(bool)  # past 2^64 either way
+
+
+@st.composite
+def dot_pairs(draw):
+    n = draw(st.integers(0, 10))
+    masks = st.integers(0, (1 << n) - 1)
+    a = draw(st.dictionaries(masks, BIG, max_size=20))
+    b = draw(st.dictionaries(masks, BIG, max_size=20))
+    support = draw(st.sampled_from(["any", "disjoint", "identical"]))
+    if support == "disjoint":
+        b = {m: c for m, c in b.items() if m not in a}
+    elif support == "identical":
+        b = {m: draw(BIG) for m in a}
+    return Vector(n, a), Vector(n, b)
+
+
+@settings(max_examples=300)
+@given(dot_pairs())
+def test_dot_matches_generator_formula(pair):
+    a, b = pair
+    assert a.dot(b) == generator_dot(a, b) == b.dot(a)

@@ -363,6 +363,25 @@ def test_under_cap_forged_stack_is_still_ranked():
     assert checks["full_rank[r=1]"].witness["computed_rank"] is None
 
 
+def test_orthogonality_refuses_an_over_cap_rank_before_any_inner_product(monkeypatch):
+    def no_dot(*args):
+        raise AssertionError("took an inner product in an over-cap rank")
+
+    monkeypatch.setattr(Vector, "dot", no_dot)
+    with pytest.raises(CapacityError, match="rank 3 stack of n=63 has 1576963521 entries"):
+        check_orthogonality(forged_singletons(63, 3))
+
+
+def test_stack_cap_counts_every_rank():
+    # 8,193 copies of one rank-1 vector: not C(63, 1) of them, but the
+    # pairwise check would still take 33.6M inner products.
+    basis = JordanBasis(63, [JordanChain(63, 1, [Vector(63, {A: 1})])] * 8193)
+    with pytest.raises(CapacityError, match="rank 1 stack of n=63 has 67125249 entries"):
+        check_stack_sizes(basis)
+    with pytest.raises(CapacityError, match="rank 1 stack"):
+        check_orthogonality(basis)
+
+
 def test_stack_cap_admits_every_rank_up_to_n15():
     def full_stacks(n):  # C(n, r) placeholder vectors at every rank r
         return JordanBasis(n, [JordanChain(n, r, [Vector(n, {})])
