@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .jordan import JordanBasis, build_sjb
+from .jordan import JordanBasis, build_sjb, sjb_chains
 from .lattice import CapacityError, binomial, chains_starting, check_ground_size
 from .operators import check_up_matrix_size
-from .scd import ChainDecomposition, build_scd, chain_length_profile
+from .scd import ChainDecomposition, build_scd, chain_length_profile, scd_chains
 from .serialize import DocumentError, export_up_matrix_csv, load, save
 from .verify import (VerificationReport, chain_reports, check_orthogonality,
                      check_ratio_uniformity, check_stack_sizes, compare_profiles,
@@ -111,11 +110,12 @@ def _cmd_build(args) -> int:
                       f"({type(exc).__name__}: {exc})")
     if len(set(paths)) < len(paths):
         return _error(f"--out template {args.out!r} must give each level its own path")
-    builder = build_sjb if args.kind == "sjb" else build_scd
+    # Each chain is written as the walk grows it; the walk has C(m, m/2) leaves.
+    kind, chains = ((JordanBasis, sjb_chains) if args.kind == "sjb"
+                    else (ChainDecomposition, scd_chains))
     for m, path in zip(levels, paths):
-        obj = builder(m, cap=args.cap)
-        save(obj, path)
-        print(f"wrote {path} (kind={args.kind}, n={m}, chains={len(obj.chains)})")
+        save(kind(m, chains(m)), path)
+        print(f"wrote {path} (kind={args.kind}, n={m}, chains={binomial(m, m // 2)})")
     return 0
 
 
@@ -156,6 +156,7 @@ def _cmd_rank(args) -> int:
     # More workers than levels or cores would only add processes to start.
     workers = min(args.jobs, len(ks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_rank_row, [(n, k) for k in ks]))
     else:

@@ -16,13 +16,13 @@ always exact.  Either way the result is the exact rank over Q.
 
 from __future__ import annotations
 
-import numpy as np
-
 P = (1 << 31) - 1
 
 
 def exact_rank(matrix) -> int:
     """Rank of an integer matrix (sequence of rows) over the rationals."""
+    import numpy as np  # loaded on the first rank taken, not with the package
+
     a = np.asarray(matrix)
     if a.dtype.kind not in "biuO":
         # Python ints mixing values past 2**63 with negatives promote to
@@ -46,6 +46,8 @@ def exact_rank(matrix) -> int:
 
 def _rank_mod_p(a: np.ndarray) -> int:
     """Rank over GF(P) of a matrix of residues; a is overwritten."""
+    import numpy as np
+
     m, n = a.shape
     r = 0
     for c in range(n):

@@ -86,13 +86,18 @@ def _z(xs: list[dict[int, int]], bit: int) -> list[dict[int, int]]:
     return zs
 
 
-def build_sjb(n: int, cap: int | None = None) -> JordanBasis:
-    """Symmetric Jordan basis of the space on subsets of {1..n}.
+def sjb_chains(n: int):
+    """The chains of the symmetric Jordan basis of {1..n}, grown one at a time.
 
-    Deterministic, and holds only the chains on the walk's current path
-    besides the basis.  A chain of length L starts at rank (n + 1 - L) / 2.
+    Deterministic, and holds only the chains on the walk's current path.
+    A chain of length L starts at rank (n + 1 - L) / 2.
     """
+    for xs in grow(n, [{0: 1}], _y, _z):
+        yield JordanChain(n, (n + 1 - len(xs)) // 2,
+                          [Vector._from_terms(n, x) for x in xs])
+
+
+def build_sjb(n: int, cap: int | None = None) -> JordanBasis:
+    """Symmetric Jordan basis of the space on subsets of {1..n}."""
     check_ground_size(n, cap)
-    return JordanBasis(n, [JordanChain(n, (n + 1 - len(xs)) // 2,
-                                       [Vector._from_terms(n, x) for x in xs])
-                           for xs in grow(n, [{0: 1}], _y, _z)])
+    return JordanBasis(n, list(sjb_chains(n)))

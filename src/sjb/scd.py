@@ -44,12 +44,17 @@ class ChainDecomposition:
         return sum(ch.length for ch in self.chains)
 
 
+def scd_chains(n: int):
+    """The chains of the symmetric chain decomposition of {1..n}, one at a time."""
+    for ch in grow(n, [0], lambda ch, bit: ch + [ch[-1] | bit],
+                   lambda ch, bit: [s | bit for s in ch[:-1]]):
+        yield SubsetChain(n, ch)
+
+
 def build_scd(n: int, cap: int | None = None) -> ChainDecomposition:
     """Partition of the subsets of {1..n} into symmetric saturated chains."""
     check_ground_size(n, cap)
-    return ChainDecomposition(n, [SubsetChain(n, ch) for ch in grow(
-        n, [0], lambda ch, bit: ch + [ch[-1] | bit],
-        lambda ch, bit: [s | bit for s in ch[:-1]])])
+    return ChainDecomposition(n, list(scd_chains(n)))
 
 
 def chain_length_sequence(obj) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@
 Documents are JSON with a fixed key order, two-space indent, and a
 trailing newline, so equal objects serialize to byte-identical files.
 They are written and read chain by chain, so save() and load() hold one
-chain's text at a time, never the whole document.
+chain's text at a time, never the whole document; save() takes the chains
+as they come, so a basis whose chains are a generator is never held whole.
 Subsets appear as sorted 1-indexed element lists and coefficients as
 decimal strings, keeping files readable and safe for any consumer's
 integer width.
@@ -11,6 +12,7 @@ integer width.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -212,7 +214,7 @@ def from_document(doc) -> Serializable:
     return _build(doc, None)
 
 
-_BLOCK = 1 << 20  # characters read from the file at a time
+_BLOCK = 1 << 20  # bytes (characters of a str) read from the file at a time
 _DECODER = json.JSONDecoder()
 
 # The writer's chain: head, vectors joined by _VECTOR_SEP, end and a delimiter.
@@ -224,6 +226,34 @@ _CHAIN_END = re.compile(r"\n        \]\n      \]\n    \}[ \t\n\r,:\]}]")
 _TERM = re.compile(re.escape(_TERM_OPEN) + r"(\[[0-9 \n,]*\])" + re.escape(_COEFF_OPEN)
                    + r"(-?[0-9]+)" + re.escape(_TERM_CLOSE) + r"(?:,\n|\Z)")
 _TERM_FIXED = len(_TERM_OPEN + _COEFF_OPEN + _TERM_CLOSE + ",\n")
+
+
+class _Utf8:
+    """Text of a binary file, decoded as UTF-8 a block at a time; a decode
+    error gives the byte's offset in the file, whatever the block size."""
+
+    def __init__(self, fh):
+        self.fh, self.pending, self.offset = fh, b"", 0
+
+    def read(self, size: int = -1) -> str:
+        """The text of up to size more bytes (all if size < 0); "" at the end."""
+        while True:
+            block = self.fh.read(size)
+            data, final = self.pending + block, size < 0 or not block
+            try:
+                text, used = codecs.utf_8_decode(data, "strict", final)
+            except UnicodeDecodeError as exc:
+                start, end = self.offset + exc.start, self.offset + exc.end
+                what = (f"byte 0x{data[exc.start]:02x} in position {start}"
+                        if end - start == 1 else f"bytes in position {start}-{end - 1}")
+                raise ValueError(f"'utf-8' codec can't decode {what}: {exc.reason}") from None
+            self.pending, self.offset = data[used:], self.offset + used
+            if text or final:
+                return text
+
+    def seek(self, pos: int) -> None:
+        self.fh.seek(pos)
+        self.pending, self.offset = b"", pos
 
 
 class _NotAnObject(Exception):
@@ -323,10 +353,11 @@ def _read(fh) -> Serializable:
         return _walk(fh)
     except DocumentError:
         raise
-    except ValueError as exc:
-        # Plain ValueErrors come from the text itself: bytes that are not
-        # UTF-8, or an integer literal past the interpreter's digit limit
-        # (sys.get_int_max_str_digits), which the JSON decoders refuse.
+    except (ValueError, RecursionError) as exc:
+        # These come from the text itself: bytes that are not UTF-8, an
+        # integer literal past the interpreter's digit limit
+        # (sys.get_int_max_str_digits), or values nested deeper than the
+        # JSON decoders recurse.
         raise DocumentError(str(exc)) from None
 
 
@@ -367,12 +398,16 @@ def _walk(fh) -> Serializable:
 
 def deserialize(data: bytes | str) -> Serializable:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        return _read(_Utf8(io.BytesIO(data)))
     return _read(io.StringIO(data, newline=""))
 
 
 def save(obj: Serializable, path) -> None:
-    """Stream the canonical text to a file beside path, then move it onto path."""
+    """Stream the canonical text to a file beside path, then move it onto path.
+
+    obj's chains may be any iterable, such as jordan.sjb_chains(n): each is
+    written as it comes.  If they fail midway, path is left as it was.
+    """
     pieces = _pieces(obj)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="ascii", newline="")
@@ -387,8 +422,8 @@ def save(obj: Serializable, path) -> None:
 
 def load(path) -> Serializable:
     """Read a document chain by chain, holding one block of its text."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return _read(fh)
+    with open(path, "rb") as fh:
+        return _read(_Utf8(fh))
 
 
 def export_up_matrix_csv(n: int, k: int, path) -> None:

@@ -1,9 +1,15 @@
 """Command-line surface: subcommand flows and exit codes."""
 
+import concurrent.futures
+import importlib
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -128,7 +134,8 @@ class _InlinePool:
 
 
 def test_rank_jobs_capped_by_levels_and_cores(monkeypatch, capsys):
-    monkeypatch.setattr(sjb.cli, "ProcessPoolExecutor", _InlinePool)
+    # The pool is imported from concurrent.futures only when one is needed.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(sjb.cli.os, "cpu_count", lambda: 4)
     _InlinePool.sizes = []
     assert main(["rank", "--n", "6", "--jobs", "100000"]) == 0
@@ -452,3 +459,105 @@ def test_stdout_and_exit_code_pinned(_documents, capsys, command, code, stdout):
     argv = [str(_documents / a) if a.endswith(".json") else a for a in command.split()]
     assert main(argv) == int(code.removeprefix("exit "))
     assert capsys.readouterr().out == stdout
+
+
+# `build` writes each chain as the y/z walk grows it, never holding the whole
+# basis; the files are those the in-memory builders serialize to.
+
+@pytest.mark.parametrize("kind, n, build", [("sjb", 10, build_sjb), ("scd", 16, build_scd)])
+def test_streamed_build_writes_the_in_memory_documents(tmp_path, capsys, kind, n, build):
+    template = str(tmp_path / "l{n}.json")
+    assert main(["build", "--kind", kind, "--n", str(n), "--all-levels",
+                 "--out", template]) == 0
+    assert main(["build", "--kind", kind, "--n", str(n), "--out",
+                 str(tmp_path / "top.json")]) == 0
+    wrote = []
+    for m in range(n + 1):
+        obj = build(m)
+        assert (tmp_path / f"l{m}.json").read_bytes() == serialize(obj)
+        wrote.append(f"wrote {tmp_path}/l{m}.json (kind={kind}, n={m}, "
+                     f"chains={len(obj.chains)})\n")
+    assert (tmp_path / "top.json").read_bytes() == serialize(obj)
+    wrote.append(f"wrote {tmp_path}/top.json (kind={kind}, n={n}, chains={len(obj.chains)})\n")
+    assert capsys.readouterr().out == "".join(wrote)
+
+
+def test_streamed_build_peak_is_a_fraction_of_the_basis(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        assert main(["build", "--n", "10", "--out", str(tmp_path / "a.json")]) == 0
+        _, streamed = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        save(build_sjb(10), tmp_path / "b.json")
+        _, whole = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert streamed < whole / 4
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, module", [("sjb", "sjb.jordan"), ("scd", "sjb.scd")])
+def test_build_failing_mid_walk_leaves_no_file(tmp_path, monkeypatch, kind, module):
+    module = importlib.import_module(module)
+    grow, calls = module.grow, itertools.count()
+
+    def failing(y):
+        def step(chain, bit):
+            if next(calls) == 40:
+                # Chains have been written: the temporary file is all there is.
+                assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
+                raise RuntimeError("step failed")
+            return y(chain, bit)
+        return step
+
+    monkeypatch.setattr(module, "grow", lambda n, chain, y, z: grow(n, chain, failing(y), z))
+    with pytest.raises(RuntimeError, match="step failed"):
+        main(["build", "--kind", kind, "--n", "8", "--out", str(tmp_path / "d.json")])
+    assert list(tmp_path.iterdir()) == []
+
+
+# numpy is imported by the first exact rank taken, and by nothing else.
+NUMPY_PROBE = ("import sys\nfrom sjb.cli import main\n"
+               "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+               "print(rc, 'numpy' in sys.modules, file=sys.stderr)\n")
+
+
+@pytest.fixture(scope="module")
+def probe_docs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("probe")
+    save(build_sjb(5), d / "b.json")
+    save(build_scd(5), d / "d.json")
+    return d
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ([], False),
+    (["build", "--n", "5", "--out", "{d}/new.json"], False),
+    (["build", "--kind", "scd", "--n", "5", "--out", "{d}/new.json"], False),
+    (["verify", "{d}/b.json", "--no-full-rank"], False),
+    (["verify", "{d}/d.json"], False),
+    (["stats", "--n", "5"], False),
+    (["compare", "--n", "5"], False),
+    (["profile", "{d}/b.json"], False),
+    (["verify", "{d}/b.json"], True),
+    (["rank", "--n", "4"], True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_numpy_loads_only_where_a_rank_is_taken(probe_docs, argv, loads_numpy):
+    src = str(Path(sjb.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE]
+                          + [a.format(d=probe_docs) for a in argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
+
+
+def test_deeply_nested_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"format_version": "1", "kind": "sjb", "n": 2, "chains": '
+                    '[{"start_rank": 0, "vectors": [[{"subset": ' + "[" * 100_000)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: maximum recursion depth exceeded[^\n]*\n", captured.err)

@@ -624,3 +624,75 @@ def test_unmatched_subset_brackets_are_refused_in_linear_time():
     start = time.perf_counter()
     assert str(streamed(text)) == str(oracle(text))
     assert time.perf_counter() - start < 10.0
+
+
+# Text the decoders cannot take is a DocumentError, whichever way it is read.
+
+DEEP_SUBSET = ('{"format_version": "1", "kind": "sjb", "n": 2, "chains": '
+               '[{"start_rank": 0, "vectors": [[{"subset": ' + "[" * 100_000)
+
+
+@pytest.mark.parametrize("text", [DEEP_SUBSET, "[" * 100_000], ids=["subset", "top-level"])
+def test_deep_nesting_is_a_document_error(tmp_path, text):
+    # The chain goes through the streamed decoder, the top-level array
+    # through the json.loads fallback; both recurse past the interpreter's limit.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for read in (lambda: load(path), lambda: deserialize(text),
+                 lambda: deserialize(text.encode())):
+        with pytest.raises(DocumentError, match="^maximum recursion depth exceeded"):
+            read()
+
+
+@pytest.mark.parametrize("data", [b'{"a": "\xff"}', b'{"a": "\xe2\x82', b"\xef\xbb{}"],
+                         ids=["bad-start", "cut-at-end", "cut-bom"])
+def test_bytes_that_are_not_utf8_are_a_document_error(tmp_path, data):
+    with pytest.raises(UnicodeDecodeError) as want:
+        data.decode("utf-8")
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    for read in (lambda: deserialize(data), lambda: load(path)):
+        with pytest.raises(DocumentError) as got:
+            read()
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096, 1 << 20])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xe2\x82"], ids=["ff", "c3", "e282"])
+def test_utf8_error_position_is_the_byte_offset_in_the_file(tmp_path, monkeypatch, block,
+                                                            bad):
+    # A bad sequence 5,000 bytes before the end, in the middle of a chain.
+    monkeypatch.setattr(serialize_module, "_BLOCK", block)
+    data = serialize(build_sjb(7))
+    at = len(data) - 5000
+    data = data[:at] + bad + data[at + len(bad):]
+    with pytest.raises(UnicodeDecodeError) as want:
+        data.decode("utf-8")
+    assert f"position {at}" in str(want.value)
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    for read in (lambda: load(path), lambda: deserialize(data)):
+        with pytest.raises(DocumentError) as got:
+            read()
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 20])
+def test_multibyte_text_is_read_across_block_edges(tmp_path, monkeypatch, block):
+    # Two-, three- and four-byte characters in a key and in trailing garbage.
+    monkeypatch.setattr(serialize_module, "_BLOCK", block)
+    text = '{"é€\U0001f600": 1, ' + serialize(build_sjb(3)).decode()[1:]
+    for doc in (text, text + "€"):
+        path = tmp_path / "doc.json"
+        path.write_text(doc, encoding="utf-8")
+        want = oracle(doc)
+        for got in (streamed(doc), streamed(doc.encode()), load_or_error(path)):
+            assert type(got) is type(want)
+            assert str(got) == str(want) if isinstance(want, DocumentError) else got == want
+
+
+def load_or_error(path):
+    try:
+        return load(path)
+    except DocumentError as exc:
+        return exc
