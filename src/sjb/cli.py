@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                                                 "a template containing {n}")
     p.add_argument("--all-levels", action="store_true",
                    help="write every level 0..n instead of only level n")
-    p.add_argument("--cap", type=int, default=None, help="override the ground size cap")
 
     p = sub.add_parser("verify", help="verify a previously written document")
     p.add_argument("file")
@@ -80,18 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="single level (default: all)")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("profile", help="squared-norm ratio profiles of a basis file")
     p.add_argument("file")
 
     p = sub.add_parser("compare", help="chain length profiles: basis vs decomposition")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("stats", help="chain counts and level dimensions")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("export-matrix", help="write the 0/1 up matrix as CSV")
     p.add_argument("--n", type=int, required=True)
@@ -101,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    check_ground_size(args.n, args.cap)
+    check_ground_size(args.n)
     levels = range(args.n + 1) if args.all_levels else [args.n]
     try:
         paths = [args.out.format(n=m) for m in levels] if args.all_levels else [args.out]
@@ -137,15 +133,11 @@ def _cmd_verify(args) -> int:
     return 0 if all(passed) else 1
 
 
-def _rank_row(arg: tuple[int, int]):
-    return up_rank_check(*arg)
-
-
 def _cmd_rank(args) -> int:
     n = args.n
     if n < 1:
         return _error("rank needs --n >= 1")
-    check_ground_size(n, args.cap)
+    check_ground_size(n)
     ks = [args.k] if args.k is not None else list(range(n))
     if any(not 0 <= k < n for k in ks):
         return _error(f"--k must be in 0..{n - 1}")
@@ -158,7 +150,7 @@ def _cmd_rank(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_rank_row, [(n, k) for k in ks]))
+            results = list(pool.map(up_rank_check, [n] * len(ks), ks))
     else:
         results = [up_rank_check(n, k) for k in ks]
     print(f"{'k':>3} {'dim_k':>8} {'dim_k+1':>8} {'rank':>8} "
@@ -189,8 +181,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    basis = build_sjb(args.n, cap=args.cap)
-    report = compare_profiles(basis, build_scd(args.n, cap=args.cap))
+    basis = build_sjb(args.n)
+    report = compare_profiles(basis, build_scd(args.n))
     print(f"{'start_rank':>10} {'length':>7} {'chains':>7}")
     for (k, length), count in sorted(chain_length_profile(basis).items()):
         print(f"{k:>10} {length:>7} {count:>7}")
@@ -201,7 +193,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    n = check_ground_size(args.n, args.cap)
+    n = check_ground_size(args.n)
     print(f"{'k':>3} {'dim C(n,k)':>12} {'chains starting':>16}")
     for k in range(n + 1):
         print(f"{k:>3} {binomial(n, k):>12} {chains_starting(n, k):>16}")

@@ -97,7 +97,7 @@ def sjb_chains(n: int):
                           [Vector._from_terms(n, x) for x in xs])
 
 
-def build_sjb(n: int, cap: int | None = None) -> JordanBasis:
+def build_sjb(n: int) -> JordanBasis:
     """Symmetric Jordan basis of the space on subsets of {1..n}."""
-    check_ground_size(n, cap)
+    check_ground_size(n)
     return JordanBasis(n, list(sjb_chains(n)))

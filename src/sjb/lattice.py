@@ -34,11 +34,9 @@ def ground_cap() -> int:
     return cap
 
 
-def check_ground_size(n: int, cap: int | None = None) -> int:
-    """Validate a ground set size against the cap; returns n."""
-    if cap is None:
-        cap = ground_cap()
-    cap = min(cap, HARD_CAP)
+def check_ground_size(n: int) -> int:
+    """Validate a ground set size against the active cap; returns n."""
+    cap = ground_cap()
     if not isinstance(n, int) or not 0 <= n <= cap:
         raise CapacityError(f"ground set size must be in 0..{cap}, got {n!r}")
     return n

@@ -38,15 +38,8 @@ def up(v: Vector) -> Vector:
 
 def down(v: Vector) -> Vector:
     """Sum of covered subsets, extended linearly; adjoint of up."""
-    acc: dict[int, int] = {}
-    for mask, c in v._terms.items():
-        for sub in covered_by(mask):
-            s = acc.get(sub, 0) + c
-            if s == 0:
-                del acc[sub]
-            else:
-                acc[sub] = s
-    return Vector._from_terms(v.n, acc)
+    return Vector(v.n, ((sub, c) for mask, c in v._terms.items()
+                        for sub in covered_by(mask)))
 
 
 def embed(v: Vector, n: int) -> Vector:

@@ -51,9 +51,9 @@ def scd_chains(n: int):
         yield SubsetChain(n, ch)
 
 
-def build_scd(n: int, cap: int | None = None) -> ChainDecomposition:
+def build_scd(n: int) -> ChainDecomposition:
     """Partition of the subsets of {1..n} into symmetric saturated chains."""
-    check_ground_size(n, cap)
+    check_ground_size(n)
     return ChainDecomposition(n, list(scd_chains(n)))
 
 

@@ -7,7 +7,7 @@ never stored.  Vectors are treated as immutable after construction.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -92,14 +92,7 @@ class Vector:
         if not isinstance(other, Vector):
             return NotImplemented
         self._check_same_ground(other)
-        acc = dict(self._terms)
-        for mask, c in other._terms.items():
-            s = acc.get(mask, 0) + c
-            if s == 0:
-                acc.pop(mask, None)
-            else:
-                acc[mask] = s
-        return Vector._from_terms(self.n, acc)
+        return Vector(self.n, chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "Vector") -> "Vector":
         if not isinstance(other, Vector):

@@ -81,11 +81,12 @@ def test_help_exits_0(capsys):
     assert "symmetric" in capsys.readouterr().out.lower()
 
 
-def test_build_over_cap_exits_2(tmp_path, capsys):
+def test_build_over_cap_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "x.json"
     assert main(["build", "--n", "30", "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
-    assert main(["build", "--n", "9", "--cap", "8", "--out", str(out)]) == 2
+    monkeypatch.setenv("SJB_N_CAP", "8")
+    assert main(["build", "--n", "9", "--out", str(out)]) == 2
     capsys.readouterr()
 
 
@@ -129,8 +130,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_rank_jobs_capped_by_levels_and_cores(monkeypatch, capsys):
@@ -152,13 +153,29 @@ def test_rank_rejects_nonpositive_jobs(capsys, jobs):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["rank", "stats"])
-def test_cap_clamped_to_hard_cap(capsys, command):
-    argv = [command, "--n", "70", "--cap", "100"] + (["--k", "0"] if command == "rank" else [])
-    assert main(argv) == 2
-    assert "ground set size must be in 0..63, got 70" in capsys.readouterr().err
-    assert main([command, "--n", "9", "--cap", "8"]) == 2
-    assert "ground set size must be in 0..8, got 9" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["build", "rank", "compare", "stats", "export-matrix"])
+def test_n_commands_apply_the_env_cap(tmp_path, capsys, monkeypatch, command):
+    def argv(n):
+        return {"build": ["build", "--n", n, "--out", str(tmp_path / "b.json")],
+                "export-matrix": ["export-matrix", "--n", n, "--k", "3",
+                                  "--out", str(tmp_path / "m.csv")]
+                }.get(command, [command, "--n", n])
+
+    monkeypatch.setenv("SJB_N_CAP", "8")
+    assert main(argv("9")) == 2
+    assert capsys.readouterr().err == "error: ground set size must be in 0..8, got 9\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv("8")) == 0
+    capsys.readouterr()
+    assert main(argv("8") + ["--cap", "8"]) == 2
+    assert "unrecognized arguments: --cap 8" in capsys.readouterr().err
+    monkeypatch.setenv("SJB_N_CAP", "63")
+    assert main(argv("70")) == 2
+    assert capsys.readouterr().err == "error: ground set size must be in 0..63, got 70\n"
+    for value in ("100", "64", "-1"):
+        monkeypatch.setenv("SJB_N_CAP", value)
+        assert main(argv("8")) == 2
+        assert capsys.readouterr().err == f"error: SJB_N_CAP must be in 0..63, got {value}\n"
 
 
 def test_profile_command(tmp_path, capsys):
@@ -336,11 +353,12 @@ def test_build_all_levels(tmp_path):
                  str(tmp_path / "flat.json")]) == 2
 
 
-def test_build_all_levels_refuses_before_building(tmp_path, capsys):
+def test_build_all_levels_refuses_before_building(tmp_path, capsys, monkeypatch):
     template = str(tmp_path / "l{n}.json")
+    monkeypatch.setenv("SJB_N_CAP", "20")
     start = time.perf_counter()
     assert main(["build", "--kind", "scd", "--all-levels", "--n", "21",
-                 "--cap", "20", "--out", template]) == 2
+                 "--out", template]) == 2
     assert time.perf_counter() - start < 1.0
     assert "ground set size must be in 0..20, got 21" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

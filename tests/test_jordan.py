@@ -136,10 +136,10 @@ def test_rebuild_is_bit_reproducible():
     assert serialize(build_sjb(7)) == serialize(build_sjb(7))
 
 
-def test_capacity_enforced():
+def test_capacity_enforced(monkeypatch):
     with pytest.raises(CapacityError):
         build_sjb(25)
+    monkeypatch.setenv("SJB_N_CAP", "5")
     with pytest.raises(CapacityError):
-        build_sjb(9, cap=8)
-    # explicit cap may also widen, up to the hard cap
-    assert build_sjb(5, cap=5).n == 5
+        build_sjb(6)
+    assert build_sjb(5).n == 5

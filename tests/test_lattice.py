@@ -150,7 +150,8 @@ def test_ground_size_cap(monkeypatch):
         check_ground_size(25)
     with pytest.raises(CapacityError):
         check_ground_size(-1)
-    assert check_ground_size(25, cap=30) == 25
+    monkeypatch.setenv("SJB_N_CAP", "30")
+    assert check_ground_size(25) == 25
     monkeypatch.setenv("SJB_N_CAP", "10")
     assert ground_cap() == 10
     with pytest.raises(CapacityError):

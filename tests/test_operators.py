@@ -96,6 +96,11 @@ def test_up_matches_covers_reference(n, data):
     assert up(v) == up_by_covers(v)
 
 
+def test_down_stores_no_cancelled_sums():
+    # down({1}) and down({2}) both give {}, where the sum cancels.
+    assert down(Vector(2, {A: 1, B: -1})).items() == []
+
+
 def test_up_stores_no_cancelled_sums():
     # up({1,2}) and up({1,3}) meet at {1,2,3} and cancel there; equality
     # compares the stored terms, so a kept zero would fail it.
