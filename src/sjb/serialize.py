@@ -216,6 +216,9 @@ def from_document(doc) -> Serializable:
 
 _BLOCK = 1 << 20  # bytes (characters of a str) read from the file at a time
 _DECODER = json.JSONDecoder()
+# The decoder looks at most 8 characters past where it places a result (the "-"
+# of -Infinity): one placed further from the end of the buffer than this stays.
+_LOOKAHEAD = 16
 
 # The writer's chain: head, vectors joined by _VECTOR_SEP, end and a delimiter.
 _CHAIN_HEAD = re.compile(r'\{\n      "start_rank": (0|[1-9][0-9]?),\n'
@@ -235,11 +238,11 @@ class _Utf8:
     def __init__(self, fh):
         self.fh, self.pending, self.offset = fh, b"", 0
 
-    def read(self, size: int = -1) -> str:
-        """The text of up to size more bytes (all if size < 0); "" at the end."""
+    def read(self, size: int) -> str:
+        """The text of up to size more bytes; "" at the end."""
         while True:
             block = self.fh.read(size)
-            data, final = self.pending + block, size < 0 or not block
+            data, final = self.pending + block, not block
             try:
                 text, used = codecs.utf_8_decode(data, "strict", final)
             except UnicodeDecodeError as exc:
@@ -251,29 +254,40 @@ class _Utf8:
             if text or final:
                 return text
 
-    def seek(self, pos: int) -> None:
-        self.fh.seek(pos)
-        self.pending, self.offset = b"", pos
-
-
-class _NotAnObject(Exception):
-    """The text is not a JSON object, or not JSON at all."""
-
 
 class _Reader:
-    """JSON tokens of a text file read a block at a time; each refill drops
-    what has been consumed, so the buffer holds a block and one value."""
+    """JSON tokens of a text file read a block at a time, each refill dropping
+    what has been consumed; text that is not JSON raises json.loads's error."""
 
     def __init__(self, fh):
-        self.fh, self.buf, self.pos = fh, "", 0
+        self.fh, self.buf, self.pos, self.origin = fh, "", 0, (0, 0, 0)  # origin: place(0)
         # Whether to try canonical_chain, and the subset and coeff texts it met.
         self.canonical, self.masks, self.coeffs = True, {}, {}
+        self._fill()
+        if self.buf.startswith("\ufeff"):  # json.loads refuses it before all else
+            raise self.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
 
     def _fill(self) -> bool:
         # Reading at least what is left keeps re-decoding long values linear.
+        # At the end of the file the buffer stays, and with it error places.
         block = self.fh.read(max(_BLOCK, len(self.buf) - self.pos))
-        self.buf, self.pos = self.buf[self.pos:] + block, 0
+        if block:
+            self.origin = self.place(self.pos)
+            self.buf, self.pos = self.buf[self.pos:] + block, 0
         return bool(block)
+
+    def place(self, pos: int) -> tuple[int, int, int]:
+        """Characters, newlines and column before buf[pos], in the whole text."""
+        chars, lines, column = self.origin
+        newline = self.buf.rfind("\n", 0, pos)
+        return (chars + pos, lines + self.buf.count("\n", 0, pos),
+                pos - newline - 1 if newline >= 0 else column + pos)
+
+    def error(self, msg: str, pos: int | None = None) -> DocumentError:
+        """json.loads's error for the whole text, placed at buf[pos]."""
+        char, lines, column = self.place(self.pos if pos is None else pos)
+        return DocumentError(f"not valid JSON: {msg}: line {lines + 1} "
+                             f"column {column + 1} (char {char})")
 
     def peek(self) -> str:
         """The next non-whitespace character, or "" at the end of the file."""
@@ -285,24 +299,26 @@ class _Reader:
     def take(self, chars: str) -> str:
         c = self.peek()
         if not c or c not in chars:
-            raise _NotAnObject
+            raise self.error(f"Expecting {chars[0]!r} delimiter")
         self.pos += 1
         return c
 
     def value(self):
-        """The next value, taken only once a delimiter follows it: a number
-        cut at the end of the buffer (1|1, 1e|5) is decoded again in full."""
+        """The next value, or its error, once more text cannot change it: a
+        number (1|1, 1e|5) or a string cut at the end of the buffer is decoded
+        again in full; an open string's error is placed at its start."""
         self.peek()
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError:
-                end = len(self.buf)
-            if end < len(self.buf) and self.buf[end] in " \t\n\r,:]}":
+            except json.JSONDecodeError as exc:
+                if (exc.pos + _LOOKAHEAD < len(self.buf)
+                        and not exc.msg.startswith("Unterminated string")) or not self._fill():
+                    raise self.error(exc.msg, exc.pos) from None
+                continue
+            if end + _LOOKAHEAD < len(self.buf) or not self._fill():
                 self.pos = end
                 return value
-            if not self._fill():
-                raise _NotAnObject
 
     def canonical_chain(self, n: int) -> JordanChain | None:
         """The next chain if it is an sjb chain as the writer prints it, its
@@ -354,22 +370,24 @@ def _read(fh) -> Serializable:
     except DocumentError:
         raise
     except (ValueError, RecursionError) as exc:
-        # These come from the text itself: bytes that are not UTF-8, an
-        # integer literal past the interpreter's digit limit
-        # (sys.get_int_max_str_digits), or values nested deeper than the
-        # JSON decoders recurse.
+        # These come from the text itself: bytes that are not UTF-8, an integer
+        # past the digit limit (sys.get_int_max_str_digits), or values nested
+        # deeper than the JSON decoders recurse.
         raise DocumentError(str(exc)) from None
 
 
 def _walk(fh) -> Serializable:
-    """Walk the top-level object, building each chain as it is decoded."""
+    """Walk the top-level object, building each chain as it is decoded; any
+    other value is decoded whole, for the schema to refuse."""
     reader = _Reader(fh)
-    try:
+    doc, result = {}, None
+    if reader.peek() != "{":
+        doc = reader.value()
+    else:
         reader.take("{")
-        doc, result = {}, None
         for _ in reader.members("}"):
             if reader.peek() != '"':
-                raise _NotAnObject
+                raise reader.error("Expecting property name enclosed in double quotes")
             key = reader.value()
             # json.loads keeps the last of repeated keys; streamed chains cannot.
             _require(key not in doc, f"repeated top-level key {key!r}")
@@ -382,18 +400,9 @@ def _walk(fh) -> Serializable:
                 result = doc[key] = _build(doc, chains)
             else:
                 doc[key] = reader.value()
-        if reader.peek():
-            raise _NotAnObject
-        return from_document(doc) if result is None else result
-    except _NotAnObject:
-        fh.seek(0)
-        text = fh.read()
-    # Decoded whole, errors read as json.loads reports them, with positions
-    # in the file, and a value that is not an object fails the schema.
-    try:
-        return from_document(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from None
+    if reader.peek():
+        raise reader.error("Extra data")
+    return from_document(doc) if result is None else result
 
 
 def deserialize(data: bytes | str) -> Serializable:

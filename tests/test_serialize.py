@@ -1,6 +1,8 @@
 """Canonical documents: round trips, golden files, schema rejection."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import time
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sjb.cli import main
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd
 from sjb.vectors import Vector
@@ -233,11 +236,11 @@ def test_rejects_scd_start_rank_other_than_its_first_subset():
 
 
 @pytest.mark.parametrize("text", [
-    # Streamed: the header value is decoded on its own.
+    # In the top-level object: the header value is decoded on its own.
     '{"format_version": "1", "kind": "sjb", "n": %s, "chains": []}' % ("1" * 5000),
-    # Not an object, so decoded whole by json.loads.
+    # Not an object, so decoded whole as one value.
     "[%s]" % ("1" * 5000),
-], ids=["streamed", "json.loads"])
+], ids=["header-value", "top-level-value"])
 def test_oversized_integer_literal_is_a_document_error(tmp_path, text):
     with pytest.raises(ValueError) as plain:
         json.loads(text)
@@ -428,7 +431,6 @@ def test_repeated_top_level_key_is_rejected(tmp_path, capsys):
         deserialize(text)
     path = tmp_path / "dup.json"
     path.write_text(text)
-    from sjb.cli import main
     assert main(["verify", str(path)]) == 2
     assert "repeated top-level key 'kind'" in capsys.readouterr().err
 
@@ -493,6 +495,97 @@ def test_load_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert basis.n == 9 and len(basis.chains) == 126
     assert peak < path.stat().st_size / 2
+
+
+def spoiled(text: str, how: str) -> str:
+    """The text cut at 3/4 of its length, or with a "coeff" key unquoted near 1/4."""
+    if how == "cut":
+        return text[:len(text) * 3 // 4]
+    at = text.index('"coeff"', len(text) // 4)
+    return text[:at] + "coeff" + text[at + 7:]
+
+
+@pytest.mark.parametrize("how", ["cut", "unquoted-key"])
+def test_bad_document_costs_one_chain_not_the_file(tmp_path, monkeypatch, how):
+    # The error is worded where the reader meets it: no second, whole read.
+    text = spoiled(serialize(build_sjb(9)).decode(), how)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    monkeypatch.setattr(serialize_module, "_BLOCK", 1 << 16)
+    tracemalloc.start()
+    try:
+        got = load_or_error(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(got) == str(oracle(text)) and str(got).startswith("not valid JSON")
+    assert peak < path.stat().st_size / 2
+
+
+def single_edits(text: str):
+    """Every deletion of one character, and every replacement of one by a
+    MUTATION_CHARS character."""
+    for i in range(len(text)):
+        yield text[:i] + text[i + 1:]
+        for c in MUTATION_CHARS:
+            yield text[:i] + c + text[i + 1:]
+
+
+@pytest.mark.parametrize("block", [1, 1 << 20])
+@pytest.mark.parametrize("obj", [build_sjb(1), build_scd(2)], ids=["sjb1", "scd2"])
+def test_every_single_edit_matches_oracle(monkeypatch, block, obj):
+    # At block 1 the buffer ends inside tokens all through the text, so a
+    # reader that decides a value or an error too early is caught here.
+    monkeypatch.setattr(serialize_module, "_BLOCK", block)
+    for text in single_edits(serialize(obj).decode()):
+        assert_matches_oracle(text, same_message=False)
+
+
+class Trickle(io.StringIO):
+    """Text that comes one character per read, as a pipe may give it."""
+
+    def read(self, size=-1):
+        return super().read(1)
+
+
+# Every literal, numbers with exponents, escapes, and a string longer than
+# _LOOKAHEAD: cut open, its error is placed at its start.
+NOTE = '[-Infinity, Infinity, NaN, false, true, null, -1.5e-3, 2E+7, "%s", "\\u00e9\\ud83d\\ude00"]'
+
+
+@pytest.mark.parametrize("tail", ["", "x"])
+def test_every_refill_point_matches_oracle(tail):
+    # The end of the buffer falls after each character in turn: a value or
+    # an error decided before more text could change it shows here.
+    text = '{"note": %s, %s%s' % (NOTE % ("x" * 40), serialize(build_sjb(2)).decode()[1:], tail)
+    want = oracle(text)
+    try:
+        got = serialize_module._read(Trickle(text))
+    except DocumentError as exc:
+        got = exc
+    assert str(got) == str(want) if tail else got == want == build_sjb(2)
+
+
+CHECK_LISTS = st.lists(st.sampled_from(["sjc", "basis", "ortho", "ratios", "", "bogus"]),
+                       min_size=1, max_size=3).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents(), st.lists(st.one_of(st.just(["--no-full-rank"]),
+                                               CHECK_LISTS.map(lambda c: ["--checks", c])),
+                                     max_size=2))
+def test_cli_verify_of_mutated_documents_exits_cleanly(tmp_path_factory, text, flags):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path), *(f for pair in flags for f in pair)])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == []
 
 
 def test_save_failure_leaves_target_untouched(tmp_path):
@@ -634,8 +727,8 @@ DEEP_SUBSET = ('{"format_version": "1", "kind": "sjb", "n": 2, "chains": '
 
 @pytest.mark.parametrize("text", [DEEP_SUBSET, "[" * 100_000], ids=["subset", "top-level"])
 def test_deep_nesting_is_a_document_error(tmp_path, text):
-    # The chain goes through the streamed decoder, the top-level array
-    # through the json.loads fallback; both recurse past the interpreter's limit.
+    # The chain is decoded as one element of the chains array, the top-level
+    # array as one value; both recurse past the interpreter's limit.
     path = tmp_path / "deep.json"
     path.write_text(text)
     for read in (lambda: load(path), lambda: deserialize(text),
