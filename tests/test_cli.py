@@ -1,6 +1,7 @@
 """Command-line surface: subcommand flows and exit codes."""
 
 import concurrent.futures
+import dataclasses
 import importlib
 import itertools
 import json
@@ -145,6 +146,30 @@ def test_rank_jobs_capped_by_levels_and_cores(monkeypatch, capsys):
     assert main(["rank", "--n", "6", "--k", "2", "--jobs", "100000"]) == 0
     assert _InlinePool.sizes == [4, 3, 2]
     capsys.readouterr()
+
+
+def test_rank_fails_on_a_deficient_level(monkeypatch, capsys):
+    # One level of n = 5 comes back a rank short: neither injective nor surjective.
+    real = sjb.cli.up_rank_check
+
+    def deficient(n, k):
+        res = real(n, k)
+        if k == 1:
+            res = dataclasses.replace(res, computed_rank=res.computed_rank - 1,
+                                      injective=False, surjective=False)
+        return res
+
+    monkeypatch.setattr("sjb.cli.up_rank_check", deficient)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(sjb.cli.os, "cpu_count", lambda: 4)
+    _InlinePool.sizes = []
+    verdict = "rank == min(dim_k, dim_k+1) for all checked k: FAIL"
+    for jobs in ("1", "2"):
+        assert main(["rank", "--n", "5", "--jobs", jobs]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[2].split() == ["1", "5", "10", "4", "false", "false"]
+        assert out[-1] == verdict
+    assert _InlinePool.sizes == [2]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
