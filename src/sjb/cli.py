@@ -17,8 +17,8 @@ from .scd import ChainDecomposition, build_scd, chain_length_profile, scd_chains
 from .serialize import DocumentError, export_up_matrix_csv, load, save
 from .verify import (VerificationReport, chain_reports, check_orthogonality,
                      check_ratio_uniformity, check_stack_sizes, compare_profiles,
-                     ratio_groups, ratio_uniformity, up_rank_check, verify_scd,
-                     verify_sjb)
+                     ratio_groups, ratio_uniformity, unimodality_report,
+                     up_rank_check, verify_scd, verify_sjb)
 
 
 def _error(message) -> int:
@@ -159,7 +159,7 @@ def _cmd_rank(args) -> int:
         print(f"{res.k:>3} {res.domain_dim:>8} {res.codomain_dim:>8} "
               f"{res.computed_rank:>8} {str(res.injective).lower():>9} "
               f"{str(res.surjective).lower():>10}")
-    ok = all(res.injective or res.surjective for res in results)
+    ok = unimodality_report(n, results).overall
     print("rank == min(dim_k, dim_k+1) for all checked k:"
           f" {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1

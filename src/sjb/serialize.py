@@ -18,6 +18,7 @@ import io
 import json
 import os
 import re
+import sys
 from typing import Union
 
 from .jordan import JordanBasis, JordanChain
@@ -219,6 +220,7 @@ _DECODER = json.JSONDecoder()
 # The decoder looks at most 8 characters past where it places a result (the "-"
 # of -Infinity): one placed further from the end of the buffer than this stays.
 _LOOKAHEAD = 16
+_DIGITS = re.compile(r"[0-9]+")
 
 # The writer's chain: head, vectors joined by _VECTOR_SEP, end and a delimiter.
 _CHAIN_HEAD = re.compile(r'\{\n      "start_rank": (0|[1-9][0-9]?),\n'
@@ -316,6 +318,12 @@ class _Reader:
                         and not exc.msg.startswith("Unterminated string")) or not self._fill():
                     raise self.error(exc.msg, exc.pos) from None
                 continue
+            except ValueError:  # an integer past the digit limit, counted in its message
+                # Only a buffer ending in more digits than the limit may cut it short.
+                tail = len(self.buf) - sys.get_int_max_str_digits() - 1
+                if tail < self.pos or not _DIGITS.fullmatch(self.buf, tail) or not self._fill():
+                    raise
+                continue
             if end + _LOOKAHEAD < len(self.buf) or not self._fill():
                 self.pos = end
                 return value
@@ -323,7 +331,7 @@ class _Reader:
     def canonical_chain(self, n: int) -> JordanChain | None:
         """The next chain if it is an sjb chain as the writer prints it, its
         terms checked as _build checks them; else None, consuming nothing.
-        A chain with the writer's head but not its end may be read ahead."""
+        One with the writer's head but not its end is read to the next head."""
         if not self.canonical or self.peek() != "{":
             return None
         while len(self.buf) - self.pos < 64 and self._fill():  # 64 > any head
@@ -334,7 +342,7 @@ class _Reader:
         self.canonical = False  # a refusal may scan a block: refuse only once
         # A refill at least doubles the text from pos: searching again stays linear.
         while (end := _CHAIN_END.search(self.buf, self.pos)) is None:
-            if not self._fill():
+            if self.buf.find('"start_rank"', self.pos + len(head[0])) >= 0 or not self._fill():
                 return None
         vectors = []
         try:

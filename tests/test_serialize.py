@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -240,16 +241,44 @@ def test_rejects_scd_start_rank_other_than_its_first_subset():
     '{"format_version": "1", "kind": "sjb", "n": %s, "chains": []}' % ("1" * 5000),
     # Not an object, so decoded whole as one value.
     "[%s]" % ("1" * 5000),
-], ids=["header-value", "top-level-value"])
-def test_oversized_integer_literal_is_a_document_error(tmp_path, text):
+    # Decoded with its chain.
+    '{"format_version": "1", "kind": "sjb", "n": 2, "chains": [{"start_rank": %s, '
+    '"vectors": []}]}' % ("1" * 5000),
+    # The first is worded, even when the buffer ends inside the second.
+    "[%s, %s]" % ("1" * 5000, "2" * 6000),
+], ids=["header-value", "top-level-value", "chain-value", "two-in-a-row"])
+def test_oversized_integer_literal_is_a_document_error(tmp_path, monkeypatch, text):
     with pytest.raises(ValueError) as plain:
         json.loads(text)
     path = tmp_path / "big.json"
     path.write_text(text)
-    for read in (lambda: deserialize(text), lambda: load(path)):
-        with pytest.raises(DocumentError) as exc:
-            read()
-        assert str(exc.value) == str(plain.value)
+    # The buffer ends before, inside and after each literal in turn.
+    for block in (1, 64, *range(4000, 12000, 250), 1 << 20):
+        monkeypatch.setattr(serialize_module, "_BLOCK", block)
+        for read in (lambda: deserialize(text), lambda: load(path)):
+            with pytest.raises(DocumentError) as exc:
+                read()
+            assert str(exc.value) == str(plain.value), block
+
+
+def test_complete_oversized_integer_is_worded_before_the_rest(tmp_path, monkeypatch):
+    # The buffer does not end in the literal, so more text cannot change its count.
+    text = '{"format_version": "1", "kind": "sjb", "n": %s, "chains": [%s]}' % (
+        "1" * 5000, ", ".join(["0"] * 1_000_000))
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    monkeypatch.setattr(serialize_module, "_BLOCK", 1 << 16)
+    read, real = [], serialize_module._Utf8.read
+
+    def counted(self, size):
+        block = real(self, size)
+        read.append(len(block))
+        return block
+
+    monkeypatch.setattr(serialize_module._Utf8, "read", counted)
+    with pytest.raises(DocumentError, match="value has 5000 digits"):
+        load(path)
+    assert sum(read) <= 1 << 16 < len(text) // 40
 
 
 def test_non_utf8_file_is_a_document_error(tmp_path):
@@ -519,6 +548,24 @@ def test_bad_document_costs_one_chain_not_the_file(tmp_path, monkeypatch, how):
     finally:
         tracemalloc.stop()
     assert str(got) == str(oracle(text)) and str(got).startswith("not valid JSON")
+    assert peak < path.stat().st_size / 2
+
+
+def test_chain_ends_outside_the_layout_cost_one_chain_not_the_file(tmp_path, monkeypatch):
+    # Every chain's closing brace is one space deeper: each has the writer's
+    # head but not its end, so the first is read up to the next chain's head.
+    path = tmp_path / "b9.json"
+    save(build_sjb(9), path)
+    text = re.sub(r"(?m)^    \}(,?)$", r"     }\1", path.read_text())
+    path.write_text(text)
+    monkeypatch.setattr(serialize_module, "_BLOCK", 1 << 16)
+    tracemalloc.start()
+    try:
+        basis = load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis == from_document(json.loads(text))
     assert peak < path.stat().st_size / 2
 
 

@@ -1,5 +1,6 @@
 """Verifier: chain/basis validity, orthogonality, ratios, rank results."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -285,18 +286,22 @@ def test_up_rank_check_range_error():
 
 
 def test_unimodality_small():
-    rep = unimodality_report(5)
+    rep = unimodality_report(5, [up_rank_check(5, k) for k in range(5)])
     assert rep.overall
-    assert binomial(5, 0) <= binomial(5, 1) <= binomial(5, 2)
-    rep0 = unimodality_report(0)
-    assert rep0.overall
+    assert [c.name for c in rep.checks] == [
+        "injective_up[k=0]", "injective_up[k=1]", "injective_up[k=2]",
+        "surjective_up[k=3]", "surjective_up[k=4]"]
+    short = dataclasses.replace(up_rank_check(5, 1), computed_rank=4, injective=False)
+    assert unimodality_report(5, [short]).failures()[0].witness == {
+        "k": 1, "computed_rank": 4}
+    assert unimodality_report(0, []).overall
 
 
 def test_unimodality_n12_has_six_injectivity_checks():
-    rep = unimodality_report(12)
+    rep = unimodality_report(12, [up_rank_check(12, k) for k in range(12)])
     assert rep.overall
-    inj = [c for c in rep.checks if c.name.startswith("injective_up")]
-    assert len(inj) == 6
+    names = [c.name.split("[")[0] for c in rep.checks]
+    assert names == ["injective_up"] * 6 + ["surjective_up"] * 6
 
 
 def test_verify_scd_passes_built():
