@@ -99,6 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_build(args) -> int:
     check_ground_size(args.n)
     levels = range(args.n + 1) if args.all_levels else [args.n]
+    # Each chain is written as the walk grows it; the walk has C(m, m/2) leaves.
+    # Making the walks checks the size of every level before any file is written.
+    kind, chains = ((JordanBasis, sjb_chains) if args.kind == "sjb"
+                    else (ChainDecomposition, scd_chains))
+    walks = [chains(m) for m in levels]
     try:
         paths = [args.out.format(n=m) for m in levels] if args.all_levels else [args.out]
     except (KeyError, IndexError, ValueError) as exc:
@@ -106,11 +111,8 @@ def _cmd_build(args) -> int:
                       f"({type(exc).__name__}: {exc})")
     if len(set(paths)) < len(paths):
         return _error(f"--out template {args.out!r} must give each level its own path")
-    # Each chain is written as the walk grows it; the walk has C(m, m/2) leaves.
-    kind, chains = ((JordanBasis, sjb_chains) if args.kind == "sjb"
-                    else (ChainDecomposition, scd_chains))
-    for m, path in zip(levels, paths):
-        save(kind(m, chains(m)), path)
+    for m, path, walk in zip(levels, paths, walks):
+        save(kind(m, walk), path)
         print(f"wrote {path} (kind={args.kind}, n={m}, chains={binomial(m, m // 2)})")
     return 0
 
@@ -134,10 +136,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    n = args.n
+    n = check_ground_size(args.n)
     if n < 1:
         return _error("rank needs --n >= 1")
-    check_ground_size(n)
     ks = [args.k] if args.k is not None else list(range(n))
     if any(not 0 <= k < n for k in ks):
         return _error(f"--k must be in 0..{n - 1}")

@@ -20,9 +20,10 @@ single vector would break the up-links.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .lattice import check_ground_size, grow
+from .lattice import check_ground_size, check_items, grow
 from .vectors import Vector
 
 
@@ -86,18 +87,23 @@ def _z(xs: list[dict[int, int]], bit: int) -> list[dict[int, int]]:
     return zs
 
 
+def basis_terms(n: int) -> int:
+    """Terms the basis of {1..n} stores, known before the build: no step cancels one."""
+    return math.comb(n, n // 2) * math.comb(n + 1, (n + 1) // 2)
+
+
 def sjb_chains(n: int):
     """The chains of the symmetric Jordan basis of {1..n}, grown one at a time.
 
+    Raises CapacityError at once if the basis is over the work budget.
     Deterministic, and holds only the chains on the walk's current path.
     A chain of length L starts at rank (n + 1 - L) / 2.
     """
-    for xs in grow(n, [{0: 1}], _y, _z):
-        yield JordanChain(n, (n + 1 - len(xs)) // 2,
-                          [Vector._from_terms(n, x) for x in xs])
+    check_items(basis_terms(check_ground_size(n)), "terms", f"sjb basis for n={n}")
+    return (JordanChain(n, (n + 1 - len(xs)) // 2, [Vector._from_terms(n, x) for x in xs])
+            for xs in grow(n, [{0: 1}], _y, _z))
 
 
 def build_sjb(n: int) -> JordanBasis:
     """Symmetric Jordan basis of the space on subsets of {1..n}."""
-    check_ground_size(n)
     return JordanBasis(n, list(sjb_chains(n)))

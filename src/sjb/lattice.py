@@ -9,37 +9,31 @@ that downstream output is canonical.
 from __future__ import annotations
 
 import math
-import os
 
 HARD_CAP = 63  # subsets must fit a single machine word
-DEFAULT_CAP = 24  # 2**n basis subsets; keeps exact builds desk-sized
-CAP_ENV_VAR = "SJB_N_CAP"
+# The one work budget: the items a request may make or hold, be they dense
+# matrix entries (about 32 bytes each to rank: 346 MB for the up matrix of
+# n=14, k=6) or basis terms and subsets (75-90 bytes each in memory).  It
+# admits every up matrix and basis stack for n <= 15, sjb builds for n <= 14
+# (22.1M terms, 2.0 GB) and scd builds for n <= 26.
+MAX_ITEMS = 1 << 26
 
 
 class CapacityError(ValueError):
-    """Ground set size outside the configured cap."""
-
-
-def ground_cap() -> int:
-    """Active cap on the ground set size (env override, else default)."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CapacityError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if not 0 <= cap <= HARD_CAP:
-        raise CapacityError(f"{CAP_ENV_VAR} must be in 0..{HARD_CAP}, got {cap}")
-    return cap
+    """Request outside the ground-size range or over the work budget."""
 
 
 def check_ground_size(n: int) -> int:
-    """Validate a ground set size against the active cap; returns n."""
-    cap = ground_cap()
-    if not isinstance(n, int) or not 0 <= n <= cap:
-        raise CapacityError(f"ground set size must be in 0..{cap}, got {n!r}")
+    """Validate a ground set size against the representation cap; returns n."""
+    if not isinstance(n, int) or not 0 <= n <= HARD_CAP:
+        raise CapacityError(f"ground set size must be in 0..{HARD_CAP}, got {n!r}")
     return n
+
+
+def check_items(count: int, unit: str, what: str) -> None:
+    """Raise CapacityError if `what` would make or hold over MAX_ITEMS items."""
+    if count > MAX_ITEMS:
+        raise CapacityError(f"{what} has {count} {unit}, over the cap of {MAX_ITEMS}")
 
 
 def binomial(n: int, k: int) -> int:

@@ -12,14 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import CapacityError, binomial, covered_by, covers_of, subsets_of_rank
+from .lattice import binomial, check_items, covered_by, covers_of, subsets_of_rank
 from .vectors import Vector
-
-# Ranking a dense matrix peaks at about 32 bytes per entry: the Python row
-# lists, then the int64 residues and the elimination's temporaries
-# (measured: 346 MB for the up matrix of n=14, k=6).  2**26 entries keep
-# that near 2 GB and admit every up matrix and basis stack for n <= 15.
-UP_MATRIX_MAX_ENTRIES = 1 << 26
 
 
 def up(v: Vector) -> Vector:
@@ -73,16 +67,9 @@ class UpMatrix:
         return len(self.row_basis), len(self.col_basis)
 
 
-def check_matrix_size(rows: int, cols: int, what: str) -> None:
-    """Raise CapacityError if a dense rows x cols matrix is over the cap."""
-    if rows * cols > UP_MATRIX_MAX_ENTRIES:
-        raise CapacityError(f"{what} has {rows * cols} entries, "
-                            f"over the cap of {UP_MATRIX_MAX_ENTRIES}")
-
-
 def check_up_matrix_size(n: int, k: int) -> None:
-    """Raise CapacityError if the rank-k up matrix of B(n) is over the cap."""
-    check_matrix_size(binomial(n, k + 1), binomial(n, k), f"up matrix for n={n}, k={k}")
+    """Raise CapacityError if the rank-k up matrix of B(n) is over the budget."""
+    check_items(binomial(n, k + 1) * binomial(n, k), "entries", f"up matrix for n={n}, k={k}")
 
 
 def up_matrix(n: int, k: int) -> UpMatrix:

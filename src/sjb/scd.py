@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .lattice import check_ground_size, grow, rank_of
+from .lattice import check_ground_size, check_items, grow, rank_of
 
 
 @dataclass
@@ -45,15 +45,17 @@ class ChainDecomposition:
 
 
 def scd_chains(n: int):
-    """The chains of the symmetric chain decomposition of {1..n}, one at a time."""
-    for ch in grow(n, [0], lambda ch, bit: ch + [ch[-1] | bit],
-                   lambda ch, bit: [s | bit for s in ch[:-1]]):
-        yield SubsetChain(n, ch)
+    """The chains of the symmetric chain decomposition of {1..n}, one at a time.
+
+    Raises CapacityError at once if its 2**n subsets are over the work budget.
+    """
+    check_items(2 ** check_ground_size(n), "subsets", f"scd decomposition for n={n}")
+    return (SubsetChain(n, ch) for ch in grow(n, [0], lambda ch, bit: ch + [ch[-1] | bit],
+                                               lambda ch, bit: [s | bit for s in ch[:-1]]))
 
 
 def build_scd(n: int) -> ChainDecomposition:
     """Partition of the subsets of {1..n} into symmetric saturated chains."""
-    check_ground_size(n)
     return ChainDecomposition(n, list(scd_chains(n)))
 
 

@@ -173,7 +173,7 @@ def _build(doc, chains) -> Serializable:
         chains = doc.get("chains")
         _require(isinstance(chains, list), "chains must be a list")
     key = "vectors" if kind == "sjb" else "subsets"
-    built = []
+    built, ints = [], {}  # ints: one object per distinct mask or coefficient
     for ci, ch in enumerate(chains):
         if isinstance(ch, JordanChain):  # streamed, and checked by _Reader.canonical_chain
             built.append(ch)
@@ -204,7 +204,8 @@ def _build(doc, chains) -> Serializable:
                 mask = _parse_subset(t["subset"], n)
                 if mask in terms:
                     raise DocumentError(f"{where}: repeated subset {t['subset']!r}")
-                terms[mask] = _parse_coeff(t["coeff"])
+                coeff = _parse_coeff(t["coeff"])
+                terms[ints.setdefault(mask, mask)] = ints.setdefault(coeff, coeff)
             vectors.append(Vector._from_terms(n, terms))  # checked above
         built.append(JordanChain(n, start, vectors))
     return JordanBasis(n, built) if kind == "sjb" else ChainDecomposition(n, built)
@@ -413,10 +414,17 @@ def _walk(fh) -> Serializable:
     return from_document(doc) if result is None else result
 
 
+class _Whole(list):
+    """A str as one block, which _Reader keeps without a copy: "" + s is s."""
+
+    def read(self, size: int) -> str:
+        return self.pop() if self else ""
+
+
 def deserialize(data: bytes | str) -> Serializable:
     if isinstance(data, bytes):
         return _read(_Utf8(io.BytesIO(data)))
-    return _read(io.StringIO(data, newline=""))
+    return _read(_Whole([data]))
 
 
 def save(obj: Serializable, path) -> None:

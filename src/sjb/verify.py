@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .elimination import exact_rank
 from .jordan import JordanBasis, JordanChain
-from .lattice import binomial, chains_starting, rank_of, subsets_of_rank
-from .operators import check_matrix_size, up, up_matrix
+from .lattice import binomial, chains_starting, check_items, rank_of, subsets_of_rank
+from .operators import up, up_matrix
 from .scd import ChainDecomposition, chain_length_profile, chain_length_sequence
 from .vectors import NotHomogeneousError, homogeneous_rank
 
@@ -146,14 +146,14 @@ def check_stack_sizes(basis: JordanBasis) -> None:
     vectors, so every rank counts, not only those holding C(n, r) vectors."""
     for r in range(basis.n + 1):
         count = len(basis.vectors_of_rank(r))
-        check_matrix_size(count, count, f"rank {r} stack of n={basis.n}")
+        check_items(count * count, "entries", f"rank {r} stack of n={basis.n}")
 
 
 def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> VerificationReport:
     """Check a full basis: chains, counts, and per-rank linear independence.
 
     The per-rank full-rank check runs exact_rank on a C(n,r) x C(n,r)
-    integer matrix per rank, and raises CapacityError past the dense cap;
+    integer matrix per rank, and raises CapacityError past the work budget;
     disable it via check_full_rank where only the structural checks are wanted.
     """
     n = basis.n
@@ -194,7 +194,7 @@ def check_orthogonality(basis: JordanBasis) -> VerificationReport:
 
     Vectors of different ranks have disjoint supports, so cross-rank
     pairs are zero structurally and are not recomputed.  Raises
-    CapacityError, before any inner product, past the dense-matrix cap.
+    CapacityError, before any inner product, past the work budget.
     """
     check_stack_sizes(basis)
     report = VerificationReport(f"orthogonality n={basis.n}")

@@ -82,13 +82,48 @@ def test_help_exits_0(capsys):
     assert "symmetric" in capsys.readouterr().out.lower()
 
 
+def _refuse_walks(monkeypatch):
+    def refuse(*args):  # a walk may be made, but not advanced
+        raise AssertionError("advanced the walk of an over-budget build")
+        yield
+
+    monkeypatch.setattr("sjb.jordan.grow", refuse)
+    monkeypatch.setattr("sjb.scd.grow", refuse)
+
+
+SJB_15_OVER = "error: sjb basis for n=15 has 82818450 terms, over the cap of 67108864\n"
+SCD_27_OVER = "error: scd decomposition for n=27 has 134217728 subsets, over the cap of 67108864\n"
+
+
 def test_build_over_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # T(14) = 22,084,920 <= 2**26 < T(15), and 2**26 subsets fit but 2**27 do not.
+    _refuse_walks(monkeypatch)
     out = tmp_path / "x.json"
-    assert main(["build", "--n", "30", "--out", str(out)]) == 2
-    assert "error" in capsys.readouterr().err
-    monkeypatch.setenv("SJB_N_CAP", "8")
-    assert main(["build", "--n", "9", "--out", str(out)]) == 2
-    capsys.readouterr()
+    for argv, message in [(["build", "--n", "15"], SJB_15_OVER),
+                          (["build", "--kind", "scd", "--n", "27"], SCD_27_OVER)]:
+        start = time.perf_counter()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_over_cap_exits_2(capsys, monkeypatch):
+    _refuse_walks(monkeypatch)
+    start = time.perf_counter()
+    assert main(["compare", "--n", "15"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", SJB_15_OVER)
+
+
+@pytest.mark.parametrize("argv", [["rank", "--n", "30", "--k", "0"], ["stats", "--n", "40"],
+                                  ["export-matrix", "--n", "30", "--k", "1"]],
+                         ids=["rank", "stats", "export-matrix"])
+def test_small_work_over_a_large_ground_set_is_admitted(tmp_path, capsys, argv):
+    if argv[0] == "export-matrix":
+        argv = argv + ["--out", str(tmp_path / "m.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_rank_table(capsys):
@@ -179,28 +214,21 @@ def test_rank_rejects_nonpositive_jobs(capsys, jobs):
 
 
 @pytest.mark.parametrize("command", ["build", "rank", "compare", "stats", "export-matrix"])
-def test_n_commands_apply_the_env_cap(tmp_path, capsys, monkeypatch, command):
+def test_n_commands_refuse_sizes_outside_0_to_63(tmp_path, capsys, command):
     def argv(n):
         return {"build": ["build", "--n", n, "--out", str(tmp_path / "b.json")],
                 "export-matrix": ["export-matrix", "--n", n, "--k", "3",
                                   "--out", str(tmp_path / "m.csv")]
                 }.get(command, [command, "--n", n])
 
-    monkeypatch.setenv("SJB_N_CAP", "8")
-    assert main(argv("9")) == 2
-    assert capsys.readouterr().err == "error: ground set size must be in 0..8, got 9\n"
+    for n in ("-1", "64"):
+        assert main(argv(n)) == 2
+        assert capsys.readouterr().err == f"error: ground set size must be in 0..63, got {n}\n"
     assert list(tmp_path.iterdir()) == []
     assert main(argv("8")) == 0
     capsys.readouterr()
     assert main(argv("8") + ["--cap", "8"]) == 2
     assert "unrecognized arguments: --cap 8" in capsys.readouterr().err
-    monkeypatch.setenv("SJB_N_CAP", "63")
-    assert main(argv("70")) == 2
-    assert capsys.readouterr().err == "error: ground set size must be in 0..63, got 70\n"
-    for value in ("100", "64", "-1"):
-        monkeypatch.setenv("SJB_N_CAP", value)
-        assert main(argv("8")) == 2
-        assert capsys.readouterr().err == f"error: SJB_N_CAP must be in 0..63, got {value}\n"
 
 
 def test_profile_command(tmp_path, capsys):
@@ -275,10 +303,11 @@ def _refuse_enumeration(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["export-matrix", "--n", "40", "--k", "20"], "ground set size must be in 0..24, got 40"),
+    (["export-matrix", "--n", "64", "--k", "20"], "ground set size must be in 0..63, got 64"),
     (["export-matrix", "--n", "20", "--k", "10"], "up matrix for n=20, k=10 has"),
     (["rank", "--n", "24", "--k", "12"], "up matrix for n=24, k=12 has"),
     (["rank", "--n", "24"], "up matrix for n=24, k=4 has"),
+    (["export-matrix", "--n", "40", "--k", "20"], "up matrix for n=40, k=20 has"),
 ])
 def test_oversized_up_matrix_exits_2_without_allocating(tmp_path, monkeypatch, capsys,
                                                         argv, message):
@@ -379,14 +408,15 @@ def test_build_all_levels(tmp_path):
 
 
 def test_build_all_levels_refuses_before_building(tmp_path, capsys, monkeypatch):
+    _refuse_walks(monkeypatch)
     template = str(tmp_path / "l{n}.json")
-    monkeypatch.setenv("SJB_N_CAP", "20")
-    start = time.perf_counter()
-    assert main(["build", "--kind", "scd", "--all-levels", "--n", "21",
-                 "--out", template]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert "ground set size must be in 0..20, got 21" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for kind, n, message in [("sjb", "15", SJB_15_OVER), ("scd", "27", SCD_27_OVER)]:
+        start = time.perf_counter()
+        assert main(["build", "--kind", kind, "--all-levels", "--n", n,
+                     "--out", template]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("field, error", [("{x}", "KeyError: 'x'"),

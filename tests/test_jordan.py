@@ -4,8 +4,8 @@ import hashlib
 
 import pytest
 
-from sjb.jordan import build_sjb
-from sjb.lattice import CapacityError, binomial
+from sjb.jordan import basis_terms, build_sjb, sjb_chains
+from sjb.lattice import MAX_ITEMS, CapacityError, binomial, grow
 from sjb.operators import embed, lift, up
 from sjb.serialize import serialize
 from sjb.vectors import Vector
@@ -136,10 +136,31 @@ def test_rebuild_is_bit_reproducible():
     assert serialize(build_sjb(7)) == serialize(build_sjb(7))
 
 
-def test_capacity_enforced(monkeypatch):
-    with pytest.raises(CapacityError):
-        build_sjb(25)
-    monkeypatch.setenv("SJB_N_CAP", "5")
-    with pytest.raises(CapacityError):
-        build_sjb(6)
-    assert build_sjb(5).n == 5
+def test_capacity_enforced():
+    # n = 14 is the largest basis within the work budget; only the walk's
+    # first step is taken here, not the 22.1M-term build.
+    assert basis_terms(14) == 22_084_920 <= MAX_ITEMS < basis_terms(15) == 82_818_450
+    assert next(sjb_chains(14)).length == 15
+    with pytest.raises(CapacityError, match="sjb basis for n=15 has 82818450 terms"):
+        build_sjb(15)
+    with pytest.raises(CapacityError, match="ground set size must be in 0..63, got 64"):
+        build_sjb(64)
+
+
+def test_basis_terms_counts_the_built_basis():
+    for n in range(11):
+        basis = build_sjb(n)
+        assert basis_terms(n) == sum(len(v) for ch in basis.chains for v in ch.vectors)
+
+
+def test_basis_terms_matches_the_count_recursion():
+    # Term counts per vector under the step rules: y_l holds x_l and the lift
+    # of x_{l-1}, z_l the lift of x_{l-1} and x_l; no term ever cancels.
+    def y(cs, bit):
+        return [a + b for a, b in zip(cs + [0], [0] + cs)]
+
+    def z(cs, bit):
+        return [a + b for a, b in zip(cs, cs[1:])]
+
+    for n in range(17):
+        assert basis_terms(n) == sum(sum(cs) for cs in grow(n, [1], y, z))

@@ -3,9 +3,9 @@
 import pytest
 
 import sjb
-from sjb.lattice import (CapacityError, binomial, chains_starting, check_ground_size,
-                         covered_by, covers_of, elements_to_mask, ground_cap, grow,
-                         mask_to_elements, rank_of, subset_str,
+from sjb.lattice import (MAX_ITEMS, CapacityError, binomial, chains_starting,
+                         check_ground_size, check_items, covered_by, covers_of,
+                         elements_to_mask, grow, mask_to_elements, rank_of, subset_str,
                          subsets_of_rank)
 
 
@@ -143,25 +143,21 @@ def test_subset_str():
     assert subset_str(0b101) == "{1,3}"
 
 
-def test_ground_size_cap(monkeypatch):
+def test_ground_size_cap():
+    # Masks must fit a machine word; the work budget decides the rest.
     assert check_ground_size(0) == 0
-    assert check_ground_size(24) == 24
-    with pytest.raises(CapacityError):
-        check_ground_size(25)
-    with pytest.raises(CapacityError):
-        check_ground_size(-1)
-    monkeypatch.setenv("SJB_N_CAP", "30")
-    assert check_ground_size(25) == 25
-    monkeypatch.setenv("SJB_N_CAP", "10")
-    assert ground_cap() == 10
-    with pytest.raises(CapacityError):
-        check_ground_size(11)
-    monkeypatch.setenv("SJB_N_CAP", "banana")
-    with pytest.raises(CapacityError):
-        ground_cap()
-    monkeypatch.setenv("SJB_N_CAP", "99")
-    with pytest.raises(CapacityError):
-        ground_cap()
+    assert check_ground_size(63) == 63
+    for n in (-1, 64, "3", 3.0):
+        with pytest.raises(CapacityError, match=f"must be in 0..63, got {n!r}$"):
+            check_ground_size(n)
+
+
+def test_work_budget():
+    assert MAX_ITEMS == 2 ** 26
+    check_items(MAX_ITEMS, "entries", "x")
+    with pytest.raises(CapacityError) as exc:
+        check_items(MAX_ITEMS + 1, "terms", "a basis")
+    assert str(exc.value) == "a basis has 67108865 terms, over the cap of 67108864"
 
 
 def _recording_rules(calls):

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sjb.lattice import CapacityError, binomial, covers_of, rank_of, subsets_of_rank
-from sjb.operators import (UP_MATRIX_MAX_ENTRIES, check_up_matrix_size, down, embed,
-                           lift, up, up_matrix)
+from sjb.lattice import MAX_ITEMS, CapacityError, binomial, covers_of, rank_of, subsets_of_rank
+from sjb.operators import check_up_matrix_size, down, embed, lift, up, up_matrix
 from sjb.vectors import Vector, homogeneous_rank
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
@@ -167,7 +166,7 @@ def test_up_matrix_cap_admits_n_up_to_14():
     for n in range(1, 15):
         for k in range(n):
             check_up_matrix_size(n, k)
-    assert binomial(14, 7) * binomial(14, 6) <= UP_MATRIX_MAX_ENTRIES
+    assert binomial(14, 7) * binomial(14, 6) <= MAX_ITEMS
 
 
 def test_up_matrix_over_cap_raises_before_allocating(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from sjb.jordan import build_sjb
 from sjb.lattice import CapacityError, binomial, rank_of
 from sjb.scd import (ChainDecomposition, SubsetChain, build_scd,
-                     chain_length_profile, chain_length_sequence)
+                     chain_length_profile, chain_length_sequence, scd_chains)
 from sjb.serialize import serialize
 
 
@@ -80,8 +80,10 @@ def test_determinism():
 
 
 def test_capacity_enforced():
-    with pytest.raises(CapacityError):
-        build_scd(25)
+    # 2**26 subsets fill the work budget exactly; only a first chain is made here.
+    assert next(scd_chains(26)).length == 27
+    with pytest.raises(CapacityError, match="scd decomposition for n=27 has 134217728 subsets"):
+        build_scd(27)
 
 
 def test_chain_properties():

@@ -526,6 +526,39 @@ def test_load_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
     assert peak < path.stat().st_size / 2
 
 
+def test_json_scanned_chains_share_their_ints(tmp_path):
+    # A layout other than the writer's is read by the JSON scanner, which
+    # shares equal masks and coefficients as the writer's reader does.
+    basis = build_sjb(9)
+    paths = {"canonical": tmp_path / "s.json", "compact": tmp_path / "c.json"}
+    save(basis, paths["canonical"])
+    paths["compact"].write_text(json.dumps(to_document(basis), separators=(",", ":")))
+    held = {}
+    for layout, path in paths.items():
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            held[layout], _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == basis
+        del loaded
+    assert held["compact"] < held["canonical"] * 1.2
+
+
+def test_deserialize_reads_a_str_in_place():
+    # io.StringIO would copy the text at 4 bytes per character.
+    text = serialize(build_sjb(10)).decode()
+    tracemalloc.start()
+    try:
+        basis = deserialize(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.n == 10 and len(basis.chains) == 252
+    assert peak < len(text) / 2
+
+
 def spoiled(text: str, how: str) -> str:
     """The text cut at 3/4 of its length, or with a "coeff" key unquoted near 1/4."""
     if how == "cut":

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
-from sjb.lattice import CapacityError, binomial, subsets_of_rank
-from sjb.operators import UP_MATRIX_MAX_ENTRIES
+from sjb.lattice import MAX_ITEMS, CapacityError, binomial, subsets_of_rank
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd
 from sjb.vectors import Vector
 from sjb.verify import (InvalidChainError, RatioProfile, chain_reports,
@@ -395,4 +394,4 @@ def test_stack_cap_admits_every_rank_up_to_n15():
     check_stack_sizes(full_stacks(15))
     with pytest.raises(CapacityError, match="rank 7 stack of n=16"):
         check_stack_sizes(full_stacks(16))
-    assert binomial(15, 7) ** 2 <= UP_MATRIX_MAX_ENTRIES < binomial(16, 7) ** 2
+    assert binomial(15, 7) ** 2 <= MAX_ITEMS < binomial(16, 7) ** 2
