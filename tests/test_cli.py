@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import json
@@ -292,6 +293,14 @@ def test_export_matrix_command(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 4
     assert main(["export-matrix", "--n", "3", "--k", "3", "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+def test_export_matrix_csv_pinned(tmp_path, capsys):
+    # sha256 of the CSV as the list-of-lists up matrix wrote it.
+    out = tmp_path / "m.csv"
+    assert main(["export-matrix", "--n", "8", "--k", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "602327ca2118d1d6f80bdfc8c0ee8e537c52358549fd2180cc1fac1a8fb655dc")
 
 
 def _refuse_enumeration(monkeypatch):
