@@ -34,7 +34,8 @@ def exact_rank(matrix) -> int:
         raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
     full = min(a.shape)
     if a.dtype.kind in "bi":
-        residues = a.astype(np.int64) % P
+        residues = a.astype(np.int64)  # a copy: the caller's matrix is kept
+        residues %= P
     else:
         # Entries past int64 (uint64 or object arrays): reduce them exactly.
         residues = np.array([[int(x) % P for x in row] for row in a.tolist()],
@@ -53,22 +54,24 @@ def _rank_mod_p(a: np.ndarray) -> int:
     for c in range(n):
         if r == m:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
-        pick = r + int(nz[0])
-        if pick != r:
+        if nz[0]:
+            pick = r + int(nz[0])
             a[[r, pick]] = a[[pick, r]]
         # Rows below the pivot with a nonzero in column c: a row swapped
         # down from r held a zero there.  Only the pivot row's nonzero
         # columns change, and column c itself is never read again.
         below = r + nz[1:]
-        cols = c + 1 + np.flatnonzero(a[r, c + 1:])
+        cols = c + 1 + a[r, c + 1:].nonzero()[0]
         if below.size and cols.size:
             inv = pow(int(a[r, c]), P - 2, P)
             piv = a[r, cols] * inv % P
-            block = np.ix_(below, cols)
-            a[block] = (a[block] - np.multiply.outer(a[below, c], piv)) % P
+            block = a[below[:, None], cols]
+            block -= np.multiply.outer(a[below, c], piv)
+            block %= P
+            a[below[:, None], cols] = block
         r += 1
     return r
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import binomial, check_items, covered_by, covers_of, subsets_of_rank
+from .lattice import binomial, check_items, covered_by, subsets_of_rank
 from .vectors import Vector
 
 
@@ -60,7 +60,12 @@ class UpMatrix:
     k: int
     row_basis: list[int]  # masks of rank k+1
     col_basis: list[int]  # masks of rank k
-    rows: list[list[int]]
+    matrix: np.ndarray  # int64, len(row_basis) x len(col_basis)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The matrix as lists of Python ints."""
+        return self.matrix.tolist()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -77,11 +82,16 @@ def up_matrix(n: int, k: int) -> UpMatrix:
     if not 0 <= k < n:
         raise ValueError(f"rank must be in 0..{n - 1}, got {k}")
     check_up_matrix_size(n, k)
+    import numpy as np  # loaded on the first matrix made, not with the package
+
     col_basis = subsets_of_rank(n, k)
     row_basis = subsets_of_rank(n, k + 1)
-    row_index = {mask: i for i, mask in enumerate(row_basis)}
-    rows = [[0] * len(col_basis) for _ in row_basis]
-    for j, mask in enumerate(col_basis):
-        for cover in covers_of(mask, n):
-            rows[row_index[cover]][j] = 1
-    return UpMatrix(n, k, row_basis, col_basis, rows)
+    # Every (column, bit) pair whose bit the column's mask lacks is one cover;
+    # masks fit int64 since n <= 63.
+    masks = np.array(col_basis, dtype=np.int64)
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    cols, b = ((masks[:, None] & bits) == 0).nonzero()
+    covers = masks[cols] | bits[b]
+    matrix = np.zeros((len(row_basis), len(col_basis)), dtype=np.int64)
+    matrix[np.searchsorted(np.array(row_basis, dtype=np.int64), covers), cols] = 1
+    return UpMatrix(n, k, row_basis, col_basis, matrix)

@@ -457,5 +457,6 @@ def export_up_matrix_csv(n: int, k: int, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([""] + [subset_str(s) for s in m.col_basis])
-        for label, row in zip(m.row_basis, m.rows):
-            writer.writerow([subset_str(label)] + row)
+        # One row's list at a time: the whole matrix as lists would double it.
+        for label, row in zip(m.row_basis, m.matrix):
+            writer.writerow([subset_str(label)] + row.tolist())

@@ -266,7 +266,9 @@ def ratio_uniformity(n: int, groups: dict[int, list[tuple[int, RatioProfile]]]
 def up_rank_check(n: int, k: int) -> UpRankResult:
     """Exact rank of up restricted to rank k, with injectivity/surjectivity."""
     m = up_matrix(n, k)
-    rank = exact_rank(m.rows)
+    # rank(up) = rank(down), its adjoint; in ascending-mask order the
+    # transpose fills in far less under elimination.
+    rank = exact_rank(m.matrix.T)
     rows, cols = m.shape
     return UpRankResult(n=n, k=k, domain_dim=cols, codomain_dim=rows,
                         computed_rank=rank,

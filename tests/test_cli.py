@@ -599,7 +599,8 @@ def test_build_failing_mid_walk_leaves_no_file(tmp_path, monkeypatch, kind, modu
     assert list(tmp_path.iterdir()) == []
 
 
-# numpy is imported by the first exact rank taken, and by nothing else.
+# numpy is imported by the first up_matrix made or exact rank taken, and by
+# nothing else.
 NUMPY_PROBE = ("import sys\nfrom sjb.cli import main\n"
                "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
                "print(rc, 'numpy' in sys.modules, file=sys.stderr)\n")
@@ -624,6 +625,7 @@ def probe_docs(tmp_path_factory):
     (["profile", "{d}/b.json"], False),
     (["verify", "{d}/b.json"], True),
     (["rank", "--n", "4"], True),
+    (["export-matrix", "--n", "4", "--k", "1", "--out", "{d}/m.csv"], True),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_numpy_loads_only_where_a_rank_is_taken(probe_docs, argv, loads_numpy):
     src = str(Path(sjb.cli.__file__).resolve().parent.parent)

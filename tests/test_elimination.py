@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjb import elimination
+from sjb.cli import main
 from sjb.elimination import P, _rank_bigint, _rank_mod_p, exact_rank
 from sjb.jordan import build_sjb
 from sjb.operators import up_matrix
-from sjb.verify import _rank_matrix
+from sjb.verify import _rank_matrix, up_rank_check
 
 
 def fraction_rank(matrix):
@@ -124,6 +125,15 @@ def test_deficient_mod_p_falls_back_to_bareiss(monkeypatch, mat, rank):
     assert calls == [len(mat)]
 
 
+def test_rank_never_falls_back_to_bareiss(monkeypatch, capsys):
+    # A fallback changes no verdict; it would show only as seconds lost.
+    calls = _spy_fallback(monkeypatch)
+    for n in range(1, 11):
+        assert main(["rank", "--n", str(n), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_full_rank_mod_p_skips_bareiss(monkeypatch):
     calls = _spy_fallback(monkeypatch)
     assert exact_rank(up_matrix(6, 2).rows) == 15
@@ -178,6 +188,7 @@ def _matrices(draw):
 @given(_matrices())
 def test_exact_rank_matches_fraction_rank(mat):
     assert exact_rank(mat) == fraction_rank(mat)
+    assert exact_rank([list(col) for col in zip(*mat)]) == fraction_rank(mat)
 
 
 def test_up_matrices_match_bareiss_oracle():
@@ -185,6 +196,8 @@ def test_up_matrices_match_bareiss_oracle():
         for k in range(n):
             rows = up_matrix(n, k).rows
             assert exact_rank(rows) == _rank_bigint([r[:] for r in rows])
+            # up_rank_check ranks the transpose; the oracle ranks up itself.
+            assert up_rank_check(n, k).computed_rank == _rank_bigint([r[:] for r in rows])
 
 
 def test_basis_stacks_match_bareiss_oracle():

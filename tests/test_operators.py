@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,10 +132,35 @@ def test_up_matrix_row_and_column_sums():
             m = up_matrix(n, k)
             rows, cols = m.shape
             assert rows == binomial(n, k + 1) and cols == binomial(n, k)
-            for row in m.rows:
+            matrix = m.rows
+            for row in matrix:
                 assert sum(row) == k + 1
             for j in range(cols):
-                assert sum(row[j] for row in m.rows) == n - k
+                assert sum(row[j] for row in matrix) == n - k
+
+
+def _up_rows_by_covers(n, k):
+    # Reference: fill each column's covers one Python int at a time.
+    col_basis = subsets_of_rank(n, k)
+    row_index = {mask: i for i, mask in enumerate(subsets_of_rank(n, k + 1))}
+    rows = [[0] * len(col_basis) for _ in row_index]
+    for j, mask in enumerate(col_basis):
+        for cover in covers_of(mask, n):
+            rows[row_index[cover]][j] = 1
+    return rows
+
+
+@pytest.mark.parametrize("sizes", [
+    [(n, k) for n in range(1, 11) for k in range(n)],
+    [(63, 0), (63, 62), (62, 1), (62, 60)],   # masks using bit 62, the highest a subset sets
+], ids=["n<=10", "word-edge"])
+def test_up_matrix_matches_covers_oracle(sizes):
+    for n, k in sizes:
+        m = up_matrix(n, k)
+        assert m.matrix.dtype == np.int64
+        assert m.row_basis == subsets_of_rank(n, k + 1)
+        assert m.col_basis == subsets_of_rank(n, k)
+        assert m.rows == _up_rows_by_covers(n, k)
 
 
 def test_up_matrix_entries_are_containments():
