@@ -11,9 +11,15 @@ checks and export.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from .lattice import binomial, check_items, covered_by, subsets_of_rank
 from .vectors import Vector
+
+if TYPE_CHECKING:
+    from numpy import ndarray
+else:
+    ndarray = Any  # numpy is imported by the first up_matrix made, not here
 
 
 def up(v: Vector) -> Vector:
@@ -60,7 +66,7 @@ class UpMatrix:
     k: int
     row_basis: list[int]  # masks of rank k+1
     col_basis: list[int]  # masks of rank k
-    matrix: np.ndarray  # int64, len(row_basis) x len(col_basis)
+    matrix: ndarray  # int64, len(row_basis) x len(col_basis)
 
     @property
     def rows(self) -> list[list[int]]:

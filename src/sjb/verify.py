@@ -266,9 +266,11 @@ def ratio_uniformity(n: int, groups: dict[int, list[tuple[int, RatioProfile]]]
 def up_rank_check(n: int, k: int) -> UpRankResult:
     """Exact rank of up restricted to rank k, with injectivity/surjectivity."""
     m = up_matrix(n, k)
-    # rank(up) = rank(down), its adjoint; in ascending-mask order the
-    # transpose fills in far less under elimination.
-    rank = exact_rank(m.matrix.T)
+    # Rank ignores row and column order, so eliminate in the order that
+    # fills in least: down (the transpose), its rank-(k+1) columns in
+    # descending mask order.  At n = 12 that updates 1.03M block entries
+    # over all levels, against 7.72M for the transpose in ascending order.
+    rank = exact_rank(m.matrix.T[:, ::-1])
     rows, cols = m.shape
     return UpRankResult(n=n, k=k, domain_dim=cols, codomain_dim=rows,
                         computed_rank=rank,

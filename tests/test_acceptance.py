@@ -94,8 +94,8 @@ def test_criterion_4_ratio_uniformity(levels10):
 
 def test_criterion_5_injectivity_surjectivity():
     with criterion(5, "rank of up equals min(C(n,k), C(n,k+1)) for all "
-                      "k < n <= 12", budget_seconds=300.0):
-        for n in range(1, 13):
+                      "k < n <= 13", budget_seconds=300.0):
+        for n in range(1, 14):
             for k in range(n):
                 res = up_rank_check(n, k)
                 dim_k, dim_k1 = binomial(n, k), binomial(n, k + 1)

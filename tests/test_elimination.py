@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sjb import elimination
+from sjb import elimination, verify
 from sjb.cli import main
 from sjb.elimination import P, _rank_bigint, _rank_mod_p, exact_rank
 from sjb.jordan import build_sjb
@@ -171,15 +171,20 @@ _entries = st.one_of(st.integers(-3, 3), st.sampled_from([P, -P, 2 * P, 1 << 63]
                      st.integers(1 << 53, (1 << 64) - 1))   # float64 rounds these
 
 
+# Small enough that a product below (at most 5 terms of 3 * 2**58) fits int64.
+_int64_entries = st.one_of(st.integers(-3, 3), st.sampled_from([P, -P, 2 * P]),
+                           st.integers(-(1 << 58), 1 << 58))
+
+
 @st.composite
-def _matrices(draw):
+def _matrices(draw, entries=_entries):
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     if draw(st.booleans()):
-        return [[draw(_entries) for _ in range(n)] for _ in range(m)]
+        return [[draw(entries) for _ in range(n)] for _ in range(m)]
     # A product through an inner dimension below min(m, n) is rank deficient.
     r = draw(st.integers(0, min(m, n) - 1))
     left = [[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(m)]
-    right = [[draw(_entries) for _ in range(n)] for _ in range(r)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(r)]
     return [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)]
             for i in range(m)]
 
@@ -191,13 +196,33 @@ def test_exact_rank_matches_fraction_rank(mat):
     assert exact_rank([list(col) for col in zip(*mat)]) == fraction_rank(mat)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_matrices(_int64_entries))
+def test_exact_rank_of_strided_views(mat):
+    # up_rank_check ranks a transposed, column-reversed view; every view
+    # must be ranked as the matrix it shows, and left as it was.
+    a = np.array(mat, dtype=np.int64)
+    for view in (a.T, a[::-1], a[:, ::-1]):
+        assert exact_rank(view) == fraction_rank(mat)
+    assert a.tolist() == mat
+
+
 def test_up_matrices_match_bareiss_oracle():
     for n in range(1, 9):
         for k in range(n):
             rows = up_matrix(n, k).rows
             assert exact_rank(rows) == _rank_bigint([r[:] for r in rows])
-            # up_rank_check ranks the transpose; the oracle ranks up itself.
+            # up_rank_check reorders up before ranking; the oracle ranks up itself.
             assert up_rank_check(n, k).computed_rank == _rank_bigint([r[:] for r in rows])
+
+
+def test_up_rank_check_ranks_down_with_columns_reversed(monkeypatch):
+    # The order changes no verdict; losing it would show only as seconds lost.
+    seen = []
+    monkeypatch.setattr(verify, "exact_rank", lambda a: seen.append(a) or exact_rank(a))
+    for n, k in [(1, 0), (4, 1), (5, 2), (7, 3), (8, 4)]:
+        up_rank_check(n, k)
+        assert np.array_equal(seen.pop(), up_matrix(n, k).matrix.T[:, ::-1])
 
 
 def test_basis_stacks_match_bareiss_oracle():

@@ -1,6 +1,7 @@
 """Up/down operators, lift, and the matrix form."""
 
 import random
+import typing
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjb.lattice import MAX_ITEMS, CapacityError, binomial, covers_of, rank_of, subsets_of_rank
-from sjb.operators import check_up_matrix_size, down, embed, lift, up, up_matrix
+from sjb.operators import UpMatrix, check_up_matrix_size, down, embed, lift, up, up_matrix
 from sjb.vectors import Vector, homogeneous_rank
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
@@ -179,6 +180,12 @@ def test_up_matrix_agrees_with_operator():
                 image = up(Vector.unit(n, x))
                 col = {m.row_basis[i]: row[j] for i, row in enumerate(m.rows) if row[j]}
                 assert col == dict(image.items())
+
+
+def test_up_matrix_type_hints_resolve():
+    # numpy is imported inside up_matrix, so the annotation must not need it.
+    hints = typing.get_type_hints(UpMatrix)
+    assert list(hints) == ["n", "k", "row_basis", "col_basis", "matrix"]
 
 
 def test_up_matrix_range_errors():
