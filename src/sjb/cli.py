@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
-from .jordan import JordanBasis, build_sjb, sjb_chains
+from .jordan import JordanBasis, sjb_chains
 from .lattice import CapacityError, binomial, chains_starting, check_ground_size
 from .operators import check_up_matrix_size
-from .scd import ChainDecomposition, build_scd, chain_length_profile, scd_chains
+from .scd import ChainDecomposition, scd_chains
 from .serialize import DocumentError, export_up_matrix_csv, load, save
 from .verify import (VerificationReport, chain_reports, check_orthogonality,
                      check_ratio_uniformity, check_stack_sizes, compare_profiles,
@@ -182,10 +183,12 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    basis = build_sjb(args.n)
-    report = compare_profiles(basis, build_scd(args.n))
+    # Each walk keeps only its chains' (start rank, length): one chain is held at a time.
+    basis = [(ch.start_rank, ch.length) for ch in sjb_chains(args.n)]
+    decomp = [(ch.start_rank, ch.length) for ch in scd_chains(args.n)]
+    report = compare_profiles(args.n, basis, decomp)
     print(f"{'start_rank':>10} {'length':>7} {'chains':>7}")
-    for (k, length), count in sorted(chain_length_profile(basis).items()):
+    for (k, length), count in sorted(Counter(basis).items()):
         print(f"{k:>10} {length:>7} {count:>7}")
     multiset, chainwise = report.checks
     print(f"profiles equal as multisets: {'PASS' if multiset.passed else 'FAIL'}")

@@ -16,11 +16,20 @@ always exact.  Either way the result is the exact rank over Q.
 
 from __future__ import annotations
 
+from operator import index
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from numpy import ndarray
+else:
+    ndarray = Any  # numpy is imported by the first rank taken, not here
+
 P = (1 << 31) - 1
 
 
 def exact_rank(matrix) -> int:
-    """Rank of an integer matrix (sequence of rows) over the rationals."""
+    """Rank over the rationals of an integer matrix (sequence of rows); an
+    entry that is not an integer, such as 0.5, raises TypeError."""
     import numpy as np  # loaded on the first rank taken, not with the package
 
     a = np.asarray(matrix)
@@ -38,14 +47,15 @@ def exact_rank(matrix) -> int:
         residues %= P
     else:
         # Entries past int64 (uint64 or object arrays): reduce them exactly.
-        residues = np.array([[int(x) % P for x in row] for row in a.tolist()],
+        # index() refuses a float or a Fraction instead of truncating it.
+        residues = np.array([[index(x) % P for x in row] for row in a.tolist()],
                             dtype=np.int64)
     if _rank_mod_p(residues) == full:
         return full
-    return _rank_bigint([[int(x) for x in row] for row in a.tolist()])
+    return _rank_bigint([[index(x) for x in row] for row in a.tolist()])
 
 
-def _rank_mod_p(a: np.ndarray) -> int:
+def _rank_mod_p(a: ndarray) -> int:
     """Rank over GF(P) of a matrix of residues; a is overwritten."""
     import numpy as np
 

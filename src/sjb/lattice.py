@@ -98,13 +98,7 @@ def covers_of(mask: int, n: int) -> list[int]:
 def covered_by(mask: int) -> list[int]:
     """Subsets covered by `mask`: subsets with one element removed, ascending."""
     # Dropping a higher bit yields a smaller mask, so walk bits downward.
-    out = []
-    m = mask
-    while m:
-        high = 1 << (m.bit_length() - 1)
-        out.append(mask ^ high)
-        m ^= high
-    return out
+    return [mask ^ (1 << i) for i in reversed(range(mask.bit_length())) if mask >> i & 1]
 
 
 def mask_to_elements(mask: int) -> tuple[int, ...]:

@@ -125,19 +125,11 @@ class Vector:
         return sum(c * c for c in self._terms.values())
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
+        out = ""
         for mask, c in self.items():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = subset_str(mask) if mag == 1 else f"{mag}*{subset_str(mask)}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            out += (" - " if out else "-") if c < 0 else (" + " if out else "")
+            out += subset_str(mask) if abs(c) == 1 else f"{abs(c)}*{subset_str(mask)}"
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"Vector({self.n}, {self.items()!r})"

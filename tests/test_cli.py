@@ -280,6 +280,18 @@ def test_compare_command(capsys):
     assert "multisets: PASS" in text and "chain by chain: PASS" in text
 
 
+def test_compare_holds_no_whole_build(capsys):
+    # The n = 10 basis alone takes 8.6 MiB; compare keeps one chain of each walk.
+    tracemalloc.start()
+    try:
+        assert main(["compare", "--n", "10"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    capsys.readouterr()
+
+
 def test_stats_command(capsys):
     assert main(["stats", "--n", "4"]) == 0
     text = capsys.readouterr().out

@@ -242,6 +242,18 @@ def test_bigint_path_directly():
         assert _rank_bigint([row[:] for row in mat]) == fraction_rank(mat)
 
 
+@pytest.mark.parametrize("mat", [
+    [[0.5]],
+    [[1.0, 2.5], [2.0, 5.0]],                           # truncated, it has rank 2
+    [[Fraction(1, 2)]],
+    np.array([[1, 0], [0, 1]], dtype=float),
+    [[1 << 70, 1], [-1, 0.5]],
+])
+def test_non_integer_entries_raise_type_error(mat):
+    with pytest.raises(TypeError):
+        exact_rank(mat)
+
+
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         exact_rank([[1, 2], [3]])

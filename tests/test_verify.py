@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
 from sjb.lattice import MAX_ITEMS, CapacityError, binomial, subsets_of_rank
-from sjb.scd import ChainDecomposition, SubsetChain, build_scd
+from sjb.scd import ChainDecomposition, SubsetChain, build_scd, chain_length_sequence
 from sjb.vectors import Vector
 from sjb.verify import (InvalidChainError, RatioProfile, chain_reports,
                         check_orthogonality, check_ratio_uniformity, check_stack_sizes,
@@ -253,10 +253,10 @@ def test_ratio_uniformity_reads_grouped_profiles():
 
 def test_compare_profiles():
     for n in range(7):
-        assert compare_profiles(build_sjb(n), build_scd(n)).overall
-    decomp = build_scd(4)
-    decomp.chains.reverse()
-    report = compare_profiles(build_sjb(4), decomp)
+        assert compare_profiles(n, chain_length_sequence(build_sjb(n)),
+                                chain_length_sequence(build_scd(n))).overall
+    decomp = chain_length_sequence(build_scd(4))
+    report = compare_profiles(4, chain_length_sequence(build_sjb(4)), decomp[::-1])
     assert [(c.name, c.passed) for c in report.checks] == [
         ("equal_as_multisets", True), ("equal_chain_by_chain", False)]
 
