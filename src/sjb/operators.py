@@ -4,8 +4,8 @@ up sends a subset to the sum of the subsets covering it; down is its
 adjoint under the standard inner product.  lift adjoins the new top
 element n+1 to every subset, mapping vectors over {1..n} into the
 "contains n+1" half of the space over {1..n+1}.  Both operators work by
-direct sparse expansion; the dense matrix form exists only for rank
-checks and export.
+direct sparse expansion, up from a table of covers for n <= TABLE_MAX_N;
+the dense matrix form exists only for rank checks and export.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .lattice import binomial, check_items, covered_by, subsets_of_rank
+from .lattice import binomial, check_items, covered_by, covers_of, subsets_of_rank
 from .vectors import Vector
 
 if TYPE_CHECKING:
@@ -22,8 +22,37 @@ else:
     ndarray = Any  # numpy is imported by the first up_matrix made, not here
 
 
+# The largest n an sjb build reaches under the work budget: a 2.25 MB table.
+TABLE_MAX_N = 14
+_tables: dict[int, tuple[list[tuple[int, ...]], list[list[int]]]] = {}
+
+
+def _cover_table(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The covers of each mask of B(n), indexed by mask, and its masks by rank."""
+    if n not in _tables:
+        masks = list(range(1 << n))  # indexing it shares one int object per mask
+        _tables[n] = ([tuple(masks[c] for c in covers_of(m, n)) for m in masks],
+                      [[m for m in masks if m.bit_count() == r] for r in range(n + 1)])
+    return _tables[n]
+
+
 def up(v: Vector) -> Vector:
     """Sum of covering subsets, extended linearly."""
+    n, terms = v.n, v._terms
+    if n > TABLE_MAX_N:
+        return _up_sparse(v)
+    covers, levels = _cover_table(n)
+    acc = [0] * (1 << n)
+    for mask, c in terms.items():
+        for cover in covers[mask]:
+            acc[cover] += c
+    # Rank r lands on level r+1, read in ascending mask order; zero sums are dropped.
+    return Vector._from_terms(n, {m: acc[m] for r in sorted(set(map(int.bit_count, terms)))
+                                  if r < n for m in levels[r + 1] if acc[m]})
+
+
+def _up_sparse(v: Vector) -> Vector:
+    """up for any n: each term is expanded one bit at a time into a dict."""
     acc: dict[int, int] = {}
     get = acc.get
     bits = [1 << i for i in range(v.n)]

@@ -8,7 +8,7 @@ never stored.  Vectors are treated as immutable after construction.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping
 
 from .lattice import rank_of, subset_str
@@ -30,6 +30,7 @@ class Vector:
         acc: dict[int, int] = {}
         top = 1 << n
         for mask, c in items:
+            mask, c = index(mask), index(c)  # TypeError on a float, Fraction or str
             if not 0 <= mask < top:
                 raise ValueError(f"subset mask {mask} outside ground set of size {n}")
             if c == 0:

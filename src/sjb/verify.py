@@ -101,8 +101,8 @@ def verify_sjc(chain: JordanChain) -> VerificationReport:
                      if up(chain.vectors[i]) != chain.vectors[i + 1]), None)
     report.add("up_links", bad_link is None, bad_link)
 
-    top = up(chain.vectors[-1])
-    report.add("top_annihilated", top.is_zero, {"position": chain.length - 1})
+    report.add("top_annihilated", bool(chain.vectors) and up(chain.vectors[-1]).is_zero,
+               {"position": chain.length - 1} if chain.vectors else {"length": 0})
 
     report.add("rank_symmetry", k + chain.top_rank == n,
                {"start_rank": k, "top_rank": chain.top_rank, "n": n})

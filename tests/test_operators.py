@@ -1,15 +1,21 @@
 """Up/down operators, lift, and the matrix form."""
 
+import os
 import random
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sjb import operators
 from sjb.lattice import MAX_ITEMS, CapacityError, binomial, covers_of, rank_of, subsets_of_rank
-from sjb.operators import UpMatrix, check_up_matrix_size, down, embed, lift, up, up_matrix
+from sjb.operators import (TABLE_MAX_N, UpMatrix, _up_sparse, check_up_matrix_size, down,
+                           embed, lift, up, up_matrix)
 from sjb.vectors import Vector, homogeneous_rank
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
@@ -95,6 +101,71 @@ def test_up_matches_covers_reference(n, data):
                                       st.integers(-(1 << 70), 1 << 70), max_size=12))
     v = Vector(n, terms)
     assert up(v) == up_by_covers(v)
+
+
+@st.composite
+def table_vectors(draw):
+    """Vectors over n <= TABLE_MAX_N: on one rank or mixed, with small or
+    past-int64 coefficients of either sign, and pairs whose ups cancel."""
+    n = draw(st.integers(0, TABLE_MAX_N))
+    masks = st.integers(0, (1 << n) - 1)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n))
+        masks = st.sets(st.integers(0, max(n - 1, 0)), min_size=r, max_size=r).map(
+            lambda elements: sum(1 << e for e in elements))
+    coeffs = st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70)
+    terms = draw(st.dictionaries(masks, coeffs, max_size=12))
+    if n >= 2 and draw(st.booleans()):
+        # S+i and S+j both cover S+i+j, where c and -c cancel.
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rest = draw(masks) & ~(1 << i | 1 << j)
+        c = draw(coeffs)
+        terms.update({rest | 1 << i: c, rest | 1 << j: -c})
+    return Vector(n, terms)
+
+
+@settings(max_examples=300)
+@given(table_vectors())
+@example(Vector.zero(0))
+@example(Vector(0, {0: 5}))
+@example(Vector.zero(TABLE_MAX_N))
+@example(Vector(TABLE_MAX_N, {(1 << TABLE_MAX_N) - 1: -(1 << 64), 0: 1}))
+@example(Vector(3, {0b001: 1, 0b010: -1}))  # up cancels at {1,2} only
+@example(Vector(2, {0b01: 1, 0b10: -1}))  # up cancels to zero
+def test_table_up_matches_sparse_loop(v):
+    w = up(v)
+    assert w == _up_sparse(v) == up_by_covers(v)
+    assert all(w._terms.values())
+    # Levels are read in rank order, each in ascending mask order.
+    assert list(w._terms) == sorted(w._terms, key=lambda m: (rank_of(m), m))
+
+
+@pytest.mark.parametrize("n, tabulated", [(14, True), (15, False)])
+def test_table_bound(n, tabulated):
+    v = Vector(n, {0: 1, 0b101: -2, (1 << n) - 1: 3, (1 << n) - 2: 1 << 65})
+    assert up(v) == up_by_covers(v)
+    assert (n in operators._tables) == tabulated
+
+
+def test_cover_table_is_built_once_per_n(monkeypatch):
+    calls = []
+    monkeypatch.setattr(operators, "_tables", {})
+    monkeypatch.setattr(operators, "covers_of", lambda m, n: calls.append(m) or covers_of(m, n))
+    first = up(Vector(6, {0b11: 1}))
+    table = operators._tables[6]
+    assert len(calls) == 64
+    assert up(Vector(6, {0b11: 1})) == first and operators._tables[6] is table
+    assert len(calls) == 64
+
+
+def test_import_builds_no_cover_table():
+    src = str(Path(operators.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    probe = "import sjb.cli, sjb.operators as o; print(o._tables)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "{}\n"
 
 
 def test_down_stores_no_cancelled_sums():

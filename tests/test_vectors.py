@@ -1,5 +1,7 @@
 """Exact sparse vectors: arithmetic, inner products, homogeneity."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,19 @@ def test_mismatched_ground_sets_rejected():
 def test_construction_rejects_foreign_masks():
     with pytest.raises(ValueError):
         Vector(2, {0b100: 1})
+
+
+@pytest.mark.parametrize("terms", [{A: 0.5}, {A: 1.0}, {A: Fraction(1, 2)}, {A: Fraction(2)},
+                                   {1.0: 1}, {"1": 1}, {A: "1"}])
+def test_construction_rejects_non_integers(terms):
+    with pytest.raises(TypeError):
+        Vector(2, terms)
+
+
+def test_construction_stores_bools_as_ints():
+    v = Vector(2, {True: True, False: -1})
+    assert v == Vector(2, {A: 1, E: -1})
+    assert {type(x) for term in v.items() for x in term} == {int}
 
 
 def test_construction_prunes_and_merges():

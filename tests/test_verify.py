@@ -64,6 +64,18 @@ def test_verify_sjc_flags_surviving_top():
     assert any(c.name == "top_annihilated" and not c.passed for c in report.checks)
 
 
+@pytest.mark.parametrize("n, k", [(3, 1), (1, 1)])  # (1, 1) is rank-symmetric
+def test_verify_sjc_fails_empty_chain_with_witness(n, k):
+    report = verify_sjc(JordanChain(n, k, []))
+    assert not report.overall
+    top = next(c for c in report.checks if c.name == "top_annihilated")
+    assert not top.passed and top.witness == {"length": 0}
+    report = verify_sjb(JordanBasis(n, [JordanChain(n, k, [])]))
+    assert report.checks[0].name == "chains_valid"
+    assert report.checks[0].witness["chain"] == 0
+    assert "top_annihilated" in report.checks[0].witness["failed"]
+
+
 def test_verify_sjb_passes_built_bases():
     for n in range(9):
         assert verify_sjb(build_sjb(n)).overall
