@@ -1,10 +1,11 @@
 """Exact integer matrix rank: a modular full-rank certificate, then Bareiss.
 
 Every rank question sjb asks is a full-rank question, so the matrix is
-first eliminated modulo the prime P = 2**31 - 1 in numpy int64 (residues
-stay below P, so every product stays below 2**62).  A rank mod P is never
-more than the rational rank, since a minor that is nonzero mod P is a
-nonzero integer; so a full modular rank is a certificate of full rank.
+first eliminated modulo the prime P = 2**31 - 1.  The residues are held in
+numpy int32, 4 bytes an entry, and each update forms its products in int64
+(residues stay below P, so every product stays below 2**62).  A rank mod P
+is never more than the rational rank, since a minor that is nonzero mod P
+is a nonzero integer; so a full modular rank is a certificate of full rank.
 
 A deficient modular rank proves nothing by itself: the matrix may be
 singular, or P may divide every maximal minor.  Such matrices are ranked
@@ -43,20 +44,22 @@ def exact_rank(matrix) -> int:
         raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
     full = min(a.shape)
     if a.dtype.kind in "bi":
-        residues = a.astype(np.int64)  # a copy: the caller's matrix is kept
-        residues %= P
+        # Reduced in int64 before the narrowing, so no entry wraps, and cast
+        # to int32 in buffered chunks: no full-size int64 copy is made.
+        residues = np.empty(a.shape, dtype=np.int32)
+        np.remainder(a, np.int64(P), out=residues, casting="unsafe")
     else:
         # Entries past int64 (uint64 or object arrays): reduce them exactly.
         # index() refuses a float or a Fraction instead of truncating it.
         residues = np.array([[index(x) % P for x in row] for row in a.tolist()],
-                            dtype=np.int64)
+                            dtype=np.int32)
     if _rank_mod_p(residues) == full:
         return full
     return _rank_bigint([[index(x) for x in row] for row in a.tolist()])
 
 
 def _rank_mod_p(a: ndarray) -> int:
-    """Rank over GF(P) of a matrix of residues; a is overwritten."""
+    """Rank over GF(P) of an int32 or int64 matrix of residues; a is overwritten."""
     import numpy as np
 
     m, n = a.shape
@@ -77,8 +80,8 @@ def _rank_mod_p(a: ndarray) -> int:
         cols = c + 1 + a[r, c + 1:].nonzero()[0]
         if below.size and cols.size:
             inv = pow(int(a[r, c]), P - 2, P)
-            piv = a[r, cols] * inv % P
-            block = a[below[:, None], cols]
+            piv = a[r, cols].astype(np.int64) * inv % P
+            block = a[below[:, None], cols].astype(np.int64)
             block -= np.multiply.outer(a[below, c], piv)
             block %= P
             a[below[:, None], cols] = block

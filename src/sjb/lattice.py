@@ -12,8 +12,8 @@ import math
 
 HARD_CAP = 63  # subsets must fit a single machine word
 # The one work budget: the items a request may make or hold, be they dense
-# matrix entries (about 16 bytes each to rank: 186 MB for the up matrix of
-# n=14, k=6) or basis terms and subsets (75-90 bytes each in memory).  It
+# matrix entries (about 5 bytes each to rank: `rank --n 14 --k 6` peaks at
+# 80 MB) or basis terms and subsets (75-90 bytes each in memory).  It
 # admits every up matrix and basis stack for n <= 15, sjb builds for n <= 14
 # (22.1M terms, 2.0 GB) and scd builds for n <= 26.
 MAX_ITEMS = 1 << 26

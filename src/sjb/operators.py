@@ -95,7 +95,7 @@ class UpMatrix:
     k: int
     row_basis: list[int]  # masks of rank k+1
     col_basis: list[int]  # masks of rank k
-    matrix: ndarray  # int64, len(row_basis) x len(col_basis)
+    matrix: ndarray  # int8, len(row_basis) x len(col_basis)
 
     @property
     def rows(self) -> list[list[int]]:
@@ -127,6 +127,6 @@ def up_matrix(n: int, k: int) -> UpMatrix:
     bits = np.left_shift(1, np.arange(n, dtype=np.int64))
     cols, b = ((masks[:, None] & bits) == 0).nonzero()
     covers = masks[cols] | bits[b]
-    matrix = np.zeros((len(row_basis), len(col_basis)), dtype=np.int64)
+    matrix = np.zeros((len(row_basis), len(col_basis)), dtype=np.int8)
     matrix[np.searchsorted(np.array(row_basis, dtype=np.int64), covers), cols] = 1
     return UpMatrix(n, k, row_basis, col_basis, matrix)

@@ -11,7 +11,7 @@ from itertools import chain, repeat
 from operator import index, mul
 from typing import Iterable, Mapping
 
-from .lattice import rank_of, subset_str
+from .lattice import subset_str
 
 
 class GroundSetMismatchError(ValueError):
@@ -138,7 +138,7 @@ class Vector:
 
 def homogeneous_rank(v: Vector) -> int | None:
     """Rank of a homogeneous vector, None for zero; raises on mixed ranks."""
-    ranks = {rank_of(m) for m in v._terms}
+    ranks = set(map(int.bit_count, v._terms))
     if len(ranks) > 1:
         raise NotHomogeneousError(f"terms mix ranks {sorted(ranks)}")
     return ranks.pop() if ranks else None

@@ -1,6 +1,7 @@
 """Exact rank: the modular certificate and the Bareiss fallback, against oracles."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,37 @@ def test_numpy_arrays_of_any_integer_dtype():
     # Singular, but full rank mod P if 2^63 wrapped to -2^63 on the way to int64.
     wraps = np.array([[1 << 63, 1 << 62], [2, 1]], dtype=np.uint64)
     assert exact_rank(wraps) == fraction_rank(wraps.tolist()) == 1
+    # Singular, but full rank mod P if cast to int32 before it is reduced.
+    narrows = np.array([[1 << 32, 2], [1 << 31, 1]], dtype=np.int64)
+    assert exact_rank(narrows) == fraction_rank(narrows.tolist()) == 1
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int16, np.int32, np.int64])
+def test_residues_of_each_dtype_extreme_stay_exact(dtype):
+    # The residues are int32; int32's maximum is P itself, which reduces
+    # to zero, and every minimum must be reduced before it is narrowed.
+    lo, hi = (False, True) if dtype is bool else (np.iinfo(dtype).min, np.iinfo(dtype).max)
+    rng = random.Random(31)
+    values = sorted({lo, hi, 0, 1, lo + 1, hi - 1, -1 if lo else 0})
+    mats = [[[lo, hi], [hi, lo]], [[lo, lo], [lo, lo]], [[hi, 0], [0, hi]],
+            [[lo, hi, 1], [hi, lo, 0], [lo, hi, 1]]]
+    mats += [[[rng.choice(values) for _ in range(w)] for _ in range(h)]
+             for h, w in [(3, 3), (4, 5), (5, 4), (6, 6)] for _ in range(10)]
+    for mat in mats:
+        a = np.array(mat, dtype=dtype)
+        assert exact_rank(a) == fraction_rank(a.tolist())
+
+
+def test_up_rank_check_holds_about_five_bytes_a_dense_entry():
+    # An int8 up matrix (1 B) and int32 residues (4 B); int64 copies of both hold 16 B.
+    entries = 1716 * 1716
+    tracemalloc.start()
+    try:
+        assert up_rank_check(13, 6).injective
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * entries
 
 
 _entries = st.one_of(st.integers(-3, 3), st.sampled_from([P, -P, 2 * P, 1 << 63]),

@@ -229,7 +229,7 @@ def _up_rows_by_covers(n, k):
 def test_up_matrix_matches_covers_oracle(sizes):
     for n, k in sizes:
         m = up_matrix(n, k)
-        assert m.matrix.dtype == np.int64
+        assert m.matrix.dtype == np.int8
         assert m.row_basis == subsets_of_rank(n, k + 1)
         assert m.col_basis == subsets_of_rank(n, k)
         assert m.rows == _up_rows_by_covers(n, k)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sjb.lattice import subsets_of_rank
+from sjb.lattice import rank_of, subsets_of_rank
 from sjb.vectors import (GroundSetMismatchError, NotHomogeneousError, Vector,
                          homogeneous_rank)
 
@@ -88,6 +88,26 @@ def test_homogeneous():
     assert homogeneous_rank(Vector.zero(2)) is None
     with pytest.raises(NotHomogeneousError):
         homogeneous_rank(Vector(2, {E: 1, A: 1}))
+
+
+@st.composite
+def homogeneous_vectors(draw):
+    n = draw(st.integers(0, 12))
+    masks = subsets_of_rank(n, draw(st.integers(0, n)))
+    terms = draw(st.dictionaries(st.sampled_from(masks), st.integers(1, 9), max_size=12))
+    return Vector(n, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(homogeneous_vectors(), vectors()))
+def test_homogeneous_rank_matches_rank_of_oracle(v):
+    ranks = {rank_of(m) for m, _ in v.items()}
+    if len(ranks) > 1:
+        with pytest.raises(NotHomogeneousError) as err:
+            homogeneous_rank(v)
+        assert str(err.value) == f"terms mix ranks {sorted(ranks)}"
+    else:
+        assert homogeneous_rank(v) == (ranks.pop() if ranks else None)
 
 
 def test_items_sorted_by_mask():
