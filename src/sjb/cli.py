@@ -15,11 +15,11 @@ from .jordan import JordanBasis, sjb_chains
 from .lattice import CapacityError, binomial, chains_starting, check_ground_size
 from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, scd_chains
-from .serialize import DocumentError, export_up_matrix_csv, load, save
-from .verify import (VerificationReport, chain_reports, check_orthogonality,
-                     check_ratio_uniformity, check_stack_sizes, compare_profiles,
-                     ratio_groups, ratio_uniformity, unimodality_report,
-                     up_rank_check, verify_scd, verify_sjb)
+from .serialize import DocumentError, export_up_matrix_csv, read_chains, save
+from .verify import (BasisTally, VerificationReport, check_orthogonality,
+                     check_stack_sizes, compare_profiles, profile_groups, ratio_groups,
+                     ratio_profile, ratio_uniformity, unimodality_report,
+                     up_rank_check, verify_scd, verify_sjc)
 
 
 def _error(message) -> int:
@@ -32,25 +32,8 @@ def _show(report: VerificationReport) -> bool:
     return report.overall
 
 
-def _check_chains(basis: JordanBasis, args) -> bool:
-    ok = True
-    for _, report in chain_reports(basis):
-        if not report.overall:
-            print(report)
-            ok = False
-    print(f"== sjc: {len(basis.chains)} chains checked: {'PASS' if ok else 'FAIL'} ==")
-    return ok
-
-
-# The checks `verify` runs on an sjb document, in order.  Each entry looks its
-# library check up when called, so a rebound module global is honoured.
-SJB_CHECKS = {
-    "sjc": _check_chains,
-    "basis": lambda basis, args: _show(
-        verify_sjb(basis, check_full_rank=not args.no_full_rank)),
-    "ortho": lambda basis, args: _show(check_orthogonality(basis)),
-    "ratios": lambda basis, args: _show(check_ratio_uniformity(basis)),
-}
+# The checks `verify` runs on an sjb document, in the order they print.
+SJB_CHECKS = ("sjc", "basis", "ortho", "ratios")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,20 +102,50 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    obj = load(args.file)
-    if isinstance(obj, ChainDecomposition):
+    kind, n, chains = read_chains(args.file)
+    if kind == "scd":
+        decomp = ChainDecomposition(n, list(chains))
         if args.checks is not None:
             return _error("--checks applies only to sjb documents")
-        return 0 if _show(verify_scd(obj)) else 1
+        return 0 if _show(verify_scd(decomp)) else 1
 
-    assert isinstance(obj, JordanBasis)
     selected = SJB_CHECKS if args.checks is None else args.checks.split(",")
     unknown = [c for c in selected if c not in SJB_CHECKS]
     if unknown:
+        for _ in chains:  # a fault in the document is reported first
+            pass
         return _error(f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
-    if "ortho" in selected or ("basis" in selected and not args.no_full_rank):
-        check_stack_sizes(obj)  # refuse an over-cap rank stack before any output
-    passed = [check(obj, args) for name, check in SJB_CHECKS.items() if name in selected]
+    full_rank = "basis" in selected and not args.no_full_rank
+    basis = None
+    if "ortho" in selected or full_rank:
+        # These need the rank stacks: hold them, and refuse an over-cap one
+        # before any chain is checked.
+        basis = JordanBasis(n, list(chains))
+        check_stack_sizes(basis)
+        chains = basis.chains
+    # Otherwise each chain goes to the selected checks as it is read.
+    count, sjc_failed, tally, profiles = 0, [], BasisTally(n), []
+    for ch in chains:
+        count += 1
+        if "sjc" in selected and not (report := verify_sjc(ch)).overall:
+            sjc_failed.append(report)
+        if "basis" in selected:
+            tally.add(ch)
+        if "ratios" in selected:
+            profiles.append(ratio_profile(ch))
+
+    passed = []
+    if "sjc" in selected:
+        for report in sjc_failed:
+            print(report)
+        print(f"== sjc: {count} chains checked: {'FAIL' if sjc_failed else 'PASS'} ==")
+        passed.append(not sjc_failed)
+    if "basis" in selected:
+        passed.append(_show(tally.report(basis if full_rank else None)))
+    if "ortho" in selected:
+        passed.append(_show(check_orthogonality(basis)))
+    if "ratios" in selected:
+        passed.append(_show(ratio_uniformity(n, profile_groups(profiles))))
     return 0 if all(passed) else 1
 
 
@@ -168,11 +181,13 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    obj = load(args.file)
-    if not isinstance(obj, JordanBasis):
+    kind, n, chains = read_chains(args.file)
+    if kind != "sjb":
+        for _ in chains:  # a fault in the document is reported first
+            pass
         return _error("profile applies only to sjb documents")
-    groups = ratio_groups(obj)
-    report = ratio_uniformity(obj.n, groups)
+    groups = ratio_groups(JordanBasis(n, chains))  # holds the profiles, not the chains
+    report = ratio_uniformity(n, groups)
     for (k, group), check in zip(groups.items(), report.checks):
         ref = group[0][1].ratios
         shown = " ".join(str(r) for r in ref) if ref else "(single vector)"

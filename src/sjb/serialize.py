@@ -13,7 +13,9 @@ integer width.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -72,9 +74,24 @@ def _list_text(items: list[str], indent: int) -> str:
     return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
 
 
-def _subset_text(mask: int, indent: int) -> str:
+@functools.cache
+def _chunk_lines(indent: int) -> tuple[tuple[str, ...], ...]:
+    """For each 8-bit chunk of a mask, the text of its elements' lines per byte value."""
     pad = " " * (indent + 2)
-    return _list_text([pad + str(e) for e in mask_to_elements(mask)], indent)
+    return tuple(tuple(",\n".join(f"{pad}{8 * i + j + 1}" for j in range(8)
+                                  if byte >> j & 1)
+                       for byte in range(256)) for i in range((HARD_CAP + 7) // 8))
+
+
+def _subset_text(mask: int, indent: int) -> str:
+    lines = []
+    for chunk in _chunk_lines(indent):
+        if not mask:
+            break
+        if mask & 255:
+            lines.append(chunk[mask & 255])
+        mask >>= 8
+    return _list_text(lines, indent)
 
 
 class _TermPrefixes(dict):
@@ -133,17 +150,22 @@ def _require(cond: bool, msg: str) -> None:
 # The checks made once per term or subset raise directly instead of calling
 # _require, whose message would be formatted even when the check passes.
 
+_BIT = [0] + [1 << i for i in range(HARD_CAP)]  # _BIT[e]: element e's bit, e in 1..63
+
+
 def _parse_subset(raw, n: int) -> int:
     if not isinstance(raw, list):
         raise DocumentError(f"subset must be a list, got {type(raw).__name__}")
-    if not all(isinstance(e, int) and not isinstance(e, bool) for e in raw):
+    if not {int}.issuperset(map(type, raw)):  # bool is not int here
         raise DocumentError(f"subset elements must be integers: {raw!r}")
     if raw != sorted(set(raw)):
         raise DocumentError(f"subset must be sorted without repeats: {raw!r}")
-    try:
-        return elements_to_mask(raw, n)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    if raw and not 1 <= raw[0] <= raw[-1] <= n:  # sorted: its ends bound it
+        try:
+            elements_to_mask(raw, n)  # words the failure
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
+    return sum(map(_BIT.__getitem__, raw))
 
 
 def _parse_coeff(raw) -> int:
@@ -160,8 +182,9 @@ def _parse_coeff(raw) -> int:
     return value
 
 
-def _build(doc, chains) -> Serializable:
-    """Check doc's header, then build the chains given (doc's if None) one by one."""
+def _build(doc, chains=None):
+    """Check doc's header and yield its (kind, n), then check, build and yield
+    each of the decoded chains given (doc's if None) in turn."""
     _require(isinstance(doc, dict), "document must be an object")
     _require(doc.get("format_version") == FORMAT_VERSION,
              f"unsupported format_version {doc.get('format_version')!r}")
@@ -172,11 +195,12 @@ def _build(doc, chains) -> Serializable:
     if chains is None:
         chains = doc.get("chains")
         _require(isinstance(chains, list), "chains must be a list")
+    yield kind, n
     key = "vectors" if kind == "sjb" else "subsets"
-    built, ints = [], {}  # ints: one object per distinct mask or coefficient
+    ints = {}  # one object per distinct mask or coefficient
     for ci, ch in enumerate(chains):
         if isinstance(ch, JordanChain):  # streamed, and checked by _Reader.canonical_chain
-            built.append(ch)
+            yield ch
             continue
         _require(isinstance(ch, dict), f"chain {ci} must be an object")
         start = ch.get("start_rank")
@@ -190,7 +214,7 @@ def _build(doc, chains) -> Serializable:
             _require(chain.start_rank == start,
                      f"chain {ci}: start_rank {start} is not the rank "
                      f"{chain.start_rank} of its first subset")
-            built.append(chain)
+            yield chain
             continue
         vectors = []
         for vi, terms_raw in enumerate(items):
@@ -207,13 +231,18 @@ def _build(doc, chains) -> Serializable:
                 coeff = _parse_coeff(t["coeff"])
                 terms[ints.setdefault(mask, mask)] = ints.setdefault(coeff, coeff)
             vectors.append(Vector._from_terms(n, terms))  # checked above
-        built.append(JordanChain(n, start, vectors))
-    return JordanBasis(n, built) if kind == "sjb" else ChainDecomposition(n, built)
+        yield JordanChain(n, start, vectors)
+
+
+def _whole(stream) -> Serializable:
+    """The basis or decomposition of a stream that yields (kind, n), then its chains."""
+    kind, n = next(stream)
+    return (JordanBasis if kind == "sjb" else ChainDecomposition)(n, list(stream))
 
 
 def from_document(doc) -> Serializable:
     """Rebuild a basis or decomposition, validating the schema."""
-    return _build(doc, None)
+    return _whole(_build(doc))
 
 
 _BLOCK = 1 << 20  # bytes (characters of a str) read from the file at a time
@@ -276,7 +305,11 @@ class _Reader:
         block = self.fh.read(max(_BLOCK, len(self.buf) - self.pos))
         if block:
             self.origin = self.place(self.pos)
-            self.buf, self.pos = self.buf[self.pos:] + block, 0
+            # Drop the old buffer before extending what is left of it, so
+            # that it is not held beside the new one.
+            rest, self.buf = self.buf[self.pos:], ""
+            rest += block
+            self.buf, self.pos = rest, 0
         return bool(block)
 
     def place(self, pos: int) -> tuple[int, int, int]:
@@ -340,15 +373,20 @@ class _Reader:
         head = _CHAIN_HEAD.match(self.buf, self.pos)
         if head is None or int(head[1]) > n:
             return None
+        # A match holds its string: keeping one across a refill keeps the old buffer.
+        start_rank, body, head = int(head[1]), len(head[0]), None
         self.canonical = False  # a refusal may scan a block: refuse only once
         # A refill at least doubles the text from pos: searching again stays linear.
         while (end := _CHAIN_END.search(self.buf, self.pos)) is None:
-            if self.buf.find('"start_rank"', self.pos + len(head[0])) >= 0 or not self._fill():
+            if self.buf.find('"start_rank"', self.pos + body) >= 0 or not self._fill():
                 return None
-        vectors = []
+        # Each vector's text, buf[start:cut], is matched in place, not copied.
+        buf, vectors, start, stop = self.buf, [], self.pos + body, end.start()
         try:
-            for text in self.buf[self.pos + len(head[0]):end.start()].split(_VECTOR_SEP):
-                subsets, coeff_texts = zip(*_TERM.findall(text))
+            while start <= stop:
+                cut = buf.find(_VECTOR_SEP, start, stop)
+                cut = stop if cut < 0 else cut
+                subsets, coeff_texts = zip(*_TERM.findall(buf, start, cut))
                 for t in set(subsets).difference(self.masks):
                     self.masks[t] = _parse_subset(json.loads(t), n)
                 for t in set(coeff_texts).difference(self.coeffs):
@@ -356,14 +394,15 @@ class _Reader:
                 terms = dict(zip(map(self.masks.get, subsets),
                                  map(self.coeffs.get, coeff_texts)))
                 # Matches never overlap: if their lengths add up, they tile the text.
-                if len(terms) != len(subsets) or len(text) != len(
+                if len(terms) != len(subsets) or cut - start != len(
                         "".join(subsets + coeff_texts)) + len(subsets) * _TERM_FIXED - 2:
                     return None
                 vectors.append(Vector._from_terms(n, terms))
+                start = cut + len(_VECTOR_SEP)
         except (ValueError, RecursionError):  # no terms, a failed check, not JSON
             return None
         self.canonical, self.pos = True, end.end() - 1
-        return JordanChain(n, int(head[1]), vectors)
+        return JordanChain(n, start_rank, vectors)
 
     def members(self, close: str):
         """Yield once per member of the object or array just opened."""
@@ -373,23 +412,12 @@ class _Reader:
             sep = self.take("," + close)
 
 
-def _read(fh) -> Serializable:
-    try:
-        return _walk(fh)
-    except DocumentError:
-        raise
-    except (ValueError, RecursionError) as exc:
-        # These come from the text itself: bytes that are not UTF-8, an integer
-        # past the digit limit (sys.get_int_max_str_digits), or values nested
-        # deeper than the JSON decoders recurse.
-        raise DocumentError(str(exc)) from None
-
-
-def _walk(fh) -> Serializable:
-    """Walk the top-level object, building each chain as it is decoded; any
-    other value is decoded whole, for the schema to refuse."""
+def _walk(fh):
+    """Yield the header's (kind, n), then each chain as it is built.  The chains
+    of a top-level object whose header comes first are built as they are
+    decoded; any other layout is decoded whole before the header is yielded."""
     reader = _Reader(fh)
-    doc, result = {}, None
+    doc, streamed = {}, False
     if reader.peek() != "{":
         doc = reader.value()
     else:
@@ -406,12 +434,33 @@ def _walk(fh) -> Serializable:
                 reader.take("[")
                 chains = (doc["kind"] == "sjb" and reader.canonical_chain(doc["n"])
                           or reader.value() for _ in reader.members("]"))
-                result = doc[key] = _build(doc, chains)
+                yield from _build(doc, chains)
+                doc[key] = streamed = True
             else:
                 doc[key] = reader.value()
     if reader.peek():
         raise reader.error("Extra data")
-    return from_document(doc) if result is None else result
+    if not streamed:
+        yield from _build(doc)
+
+
+def _checked(fh, raw=contextlib.nullcontext()):
+    """_walk of the text fh reads, raising every fault as a DocumentError;
+    raw, the file under fh, is closed once the walk ends."""
+    with raw:
+        try:
+            yield from _walk(fh)
+        except DocumentError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            # These come from the text itself: bytes that are not UTF-8, an
+            # integer past the digit limit (sys.get_int_max_str_digits), or
+            # values nested deeper than the JSON decoders recurse.
+            raise DocumentError(str(exc)) from None
+
+
+def _read(fh) -> Serializable:
+    return _whole(_checked(fh))
 
 
 class _Whole(list):
@@ -443,6 +492,20 @@ def save(obj: Serializable, path) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_chains(path):
+    """(kind, n, chains) of the document at path, its header checked.
+
+    chains yields each chain as it is read and checked, holding one block of
+    the text; once it is exhausted the rest of the document has been checked
+    too, and the file closed (chains.close() closes it sooner).  Any fault
+    raises DocumentError, at the header or from chains.
+    """
+    fh = open(path, "rb")
+    stream = _checked(_Utf8(fh), fh)
+    kind, n = next(stream)
+    return kind, n, stream
 
 
 def load(path) -> Serializable:

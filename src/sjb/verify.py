@@ -109,14 +109,9 @@ def verify_sjc(chain: JordanChain) -> VerificationReport:
     return report
 
 
-def chain_reports(basis: JordanBasis):
-    """(chain index, verify_sjc report) of every chain, lazily, in order."""
-    return ((ci, verify_sjc(ch)) for ci, ch in enumerate(basis.chains))
-
-
-def _check_start_ranks(report: VerificationReport, n: int, chains) -> None:
+def _check_start_ranks(report: VerificationReport, n: int, start_ranks) -> None:
     """Add start_rank_counts: each rank k starts chains_starting(n, k) chains."""
-    starts = Counter(ch.start_rank for ch in chains)
+    starts = Counter(start_ranks)
     bad = next(({"start_rank": k, "got": starts[k], "expected": chains_starting(n, k)}
                 for k in range(n + 1) if starts[k] != chains_starting(n, k)), None)
     report.add("start_rank_counts", bad is None, bad)
@@ -149,32 +144,40 @@ def check_stack_sizes(basis: JordanBasis) -> None:
         check_items(count * count, "entries", f"rank {r} stack of n={basis.n}")
 
 
-def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> VerificationReport:
-    """Check a full basis: chains, counts, and per-rank linear independence.
+class BasisTally:
+    """What verify_sjb needs of a basis's chains, gathered one chain at a time,
+    so that they may come from a stream: the first chain verify_sjc fails and
+    every chain's (start_rank, length)."""
 
-    The per-rank full-rank check runs exact_rank on a C(n,r) x C(n,r)
-    integer matrix per rank, and raises CapacityError past the work budget;
-    disable it via check_full_rank where only the structural checks are wanted.
-    """
-    n = basis.n
-    if check_full_rank:
-        check_stack_sizes(basis)
-    report = VerificationReport(f"sjb n={n} chains={len(basis.chains)}")
+    def __init__(self, n: int):
+        self.n, self.shapes, self.bad_chain = n, [], None
 
-    bad_chain = next(({"chain": ci, "failed": [c.name for c in sub.failures()]}
-                      for ci, sub in chain_reports(basis) if not sub.overall), None)
-    report.add("chains_valid", bad_chain is None, bad_chain)
+    def add(self, chain: JordanChain) -> None:
+        if self.bad_chain is None:
+            sub = verify_sjc(chain)
+            if not sub.overall:
+                self.bad_chain = {"chain": len(self.shapes),
+                                  "failed": [c.name for c in sub.failures()]}
+        self.shapes.append((chain.start_rank, chain.length))
 
-    total = basis.total_vectors()
-    report.add("total_count", total == 2 ** n, {"got": total, "expected": 2 ** n})
+    def report(self, basis: JordanBasis | None = None) -> VerificationReport:
+        """verify_sjb's report; given the basis of these chains, with its
+        full-rank checks."""
+        n = self.n
+        report = VerificationReport(f"sjb n={n} chains={len(self.shapes)}")
+        report.add("chains_valid", self.bad_chain is None, self.bad_chain)
 
-    counts = [len(basis.vectors_of_rank(r)) for r in range(n + 1)]
-    bad_rank = next(({"rank": r, "got": got, "expected": binomial(n, r)}
-                     for r, got in enumerate(counts) if got != binomial(n, r)), None)
-    report.add("rank_counts", bad_rank is None, bad_rank)
-    _check_start_ranks(report, n, basis.chains)
+        total = sum(length for _, length in self.shapes)
+        report.add("total_count", total == 2 ** n, {"got": total, "expected": 2 ** n})
 
-    if check_full_rank:
+        at_rank = Counter(r for k, length in self.shapes for r in range(k, k + length))
+        counts = [at_rank[r] for r in range(n + 1)]
+        bad_rank = next(({"rank": r, "got": got, "expected": binomial(n, r)}
+                         for r, got in enumerate(counts) if got != binomial(n, r)), None)
+        report.add("rank_counts", bad_rank is None, bad_rank)
+        _check_start_ranks(report, n, (k for k, _ in self.shapes))
+        if basis is None:
+            return report
         for r, count in enumerate(counts):
             expected = binomial(n, r)
             # The stack must be square (C(n,r) vectors of rank r) and
@@ -186,7 +189,22 @@ def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> Verification
             report.add(f"full_rank[r={r}]", rank == expected,
                        {"rank": r, "vectors": count, "computed_rank": rank,
                         "expected": expected})
-    return report
+        return report
+
+
+def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> VerificationReport:
+    """Check a full basis: chains, counts, and per-rank linear independence.
+
+    The per-rank full-rank check runs exact_rank on a C(n,r) x C(n,r)
+    integer matrix per rank, and raises CapacityError past the work budget;
+    disable it via check_full_rank where only the structural checks are wanted.
+    """
+    if check_full_rank:
+        check_stack_sizes(basis)
+    tally = BasisTally(basis.n)
+    for ch in basis.chains:
+        tally.add(ch)
+    return tally.report(basis if check_full_rank else None)
 
 
 def check_orthogonality(basis: JordanBasis) -> VerificationReport:
@@ -229,10 +247,16 @@ def ratio_profile(chain: JordanChain) -> RatioProfile:
 
 
 def ratio_groups(basis: JordanBasis) -> dict[int, list[tuple[int, RatioProfile]]]:
-    """(chain index, ratio profile) of every chain, by start rank, ascending."""
+    """(chain index, ratio profile) of every chain, by start rank, ascending.
+    basis.chains is walked once, so it may be a stream."""
+    return profile_groups(map(ratio_profile, basis.chains))
+
+
+def profile_groups(profiles) -> dict[int, list[tuple[int, RatioProfile]]]:
+    """(index, profile) of each of the chains' profiles, by start rank, ascending."""
     by_start: dict[int, list[tuple[int, RatioProfile]]] = {}
-    for ci, ch in enumerate(basis.chains):
-        by_start.setdefault(ch.start_rank, []).append((ci, ratio_profile(ch)))
+    for ci, prof in enumerate(profiles):
+        by_start.setdefault(prof.start_rank, []).append((ci, prof))
     return dict(sorted(by_start.items()))
 
 
@@ -314,7 +338,7 @@ def verify_scd(decomp: ChainDecomposition) -> VerificationReport:
     bad_sym = next(({"chain": ci} for ci, ch in enumerate(decomp.chains)
                     if ch.start_rank + ch.top_rank != n), None)
     report.add("symmetric", bad_sym is None, bad_sym)
-    _check_start_ranks(report, n, decomp.chains)
+    _check_start_ranks(report, n, (ch.start_rank for ch in decomp.chains))
     return report
 
 

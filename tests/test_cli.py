@@ -18,7 +18,7 @@ import pytest
 
 import sjb.cli
 from sjb.cli import main
-from sjb.serialize import load, save, serialize
+from sjb.serialize import load, save, serialize, to_document
 from sjb.jordan import build_sjb
 from sjb.scd import build_scd
 
@@ -657,3 +657,103 @@ def test_deeply_nested_document_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: maximum recursion depth exceeded[^\n]*\n", captured.err)
+
+
+# `verify` and `profile` read an sjb document as a stream of chains: the
+# structural checks take each chain as it is read, and nothing is printed
+# until the whole document has been read and checked.
+
+def test_structural_verify_holds_one_chain_not_the_basis(tmp_path, capsys, monkeypatch):
+    # With 1 MiB blocks the reader's buffers alone are half of the basis at
+    # n = 10; smaller blocks leave what is held besides them.
+    monkeypatch.setattr(importlib.import_module("sjb.serialize"), "_BLOCK", 1 << 16)
+    path = tmp_path / "b10.json"
+    save(build_sjb(10), path)
+    structural = ["verify", str(path), "--checks", "sjc,basis", "--no-full-rank"]
+    assert main(structural) == 0  # builds the cover table of B(10) before tracing
+    tracemalloc.start()
+    try:
+        basis = load(path)
+        _, whole = tracemalloc.get_traced_memory()
+        del basis
+        peaks = {}
+        for argv in (structural, ["profile", str(path)]):
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            _, peaks[argv[0]] = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert max(peaks.values()) < whole / 4, (peaks, whole)
+
+
+def faulty_sjb_texts():
+    """(label, text, error) of n = 5 documents in the writer's layout whose
+    fault comes after chains that would fail the checks, or be printed."""
+    doc = to_document(build_sjb(5))
+    doc["chains"][0]["vectors"][1][0]["coeff"] = "7"  # fails the sjc checks
+    text = json.dumps(doc, indent=2) + "\n"
+    last = json.loads(text)
+    last["chains"][-1]["vectors"][0][0]["coeff"] = "01"
+    try:
+        json.loads(text + "x")
+    except json.JSONDecodeError as exc:
+        extra = f"not valid JSON: {exc}"
+    return [("malformed-last-chain", json.dumps(last, indent=2) + "\n",
+             "coeff is not in canonical form: '01'"),
+            ("extra-data", text + "x", extra),
+            ("key-after-chains", text.rstrip()[:-1] + ',\n  "n": 5\n}\n',
+             "repeated top-level key 'n'")]
+
+
+@pytest.mark.parametrize("label, text, error", faulty_sjb_texts(),
+                         ids=[case[0] for case in faulty_sjb_texts()])
+@pytest.mark.parametrize("argv", [[], ["--checks", "sjc"], ["--checks", "ratios"],
+                                  ["--checks", "sjc,basis", "--no-full-rank"],
+                                  ["--checks", "bogus"], "profile"],
+                         ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_fault_after_the_chains_prints_nothing(tmp_path, capsys, label, text, error, argv):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = ["profile", str(path)] if argv == "profile" else ["verify", str(path), *argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--checks", "sjc,basis", "--no-full-rank"],
+                                  ["--checks", "ratios,sjc"], "profile"],
+                         ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_chains_before_the_header_verify_alike(tmp_path, capsys, argv):
+    # json.dumps(..., sort_keys=True) puts "chains" first: the document is
+    # read whole, and every check still sees each chain once.
+    basis = build_sjb(6)
+    basis.chains[3].vectors[1] = basis.chains[3].vectors[1] + basis.chains[3].vectors[1]
+    got = {}
+    for name, text in (("writer", serialize(basis).decode()),
+                       ("sorted", json.dumps(to_document(basis), sort_keys=True))):
+        assert text.startswith('{"chains"') == (name == "sorted")
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        args = ["profile", str(path)] if argv == "profile" else ["verify", str(path), *argv]
+        got[name] = main(args), capsys.readouterr()
+    assert got["writer"] == got["sorted"]
+    assert got["writer"][0] == 1 and "FAIL" in got["writer"][1].out
+
+
+def test_default_verify_checks_each_chain_twice(tmp_path, capsys, monkeypatch):
+    # Once for the sjc check and once inside the basis check: 2 * C(n, n/2).
+    import sjb.verify
+    calls = []
+    real = sjb.verify.verify_sjc
+
+    def spy(chain):
+        calls.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(sjb.verify, "verify_sjc", spy)
+    monkeypatch.setattr(sjb.cli, "verify_sjc", spy)
+    path = tmp_path / "b7.json"
+    save(build_sjb(7), path)
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * 35

@@ -19,7 +19,8 @@ from sjb.jordan import JordanBasis, JordanChain, build_sjb
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd
 from sjb.vectors import Vector
 from sjb.serialize import (DocumentError, deserialize, export_up_matrix_csv,
-                           from_document, load, save, serialize, to_document)
+                           from_document, load, read_chains, save, serialize,
+                           to_document)
 
 GOLDEN = Path(__file__).parent / "golden"
 # The package re-exports the function serialize under the module's name.
@@ -124,6 +125,16 @@ def test_writer_matches_json_dumps_random(basis):
     assert serialize(basis) == dumps_oracle(basis)
 
 
+@settings(max_examples=100, deadline=None)
+@given(bases_over(63), st.lists(st.lists(st.integers(0, (1 << 63) - 1), min_size=1,
+                                         max_size=4), max_size=4))
+def test_writer_matches_json_dumps_on_every_element(basis, subsets):
+    # Subsets over all 63 elements use every 8-bit chunk of the writer's tables.
+    assert serialize(basis) == dumps_oracle(basis)
+    decomp = ChainDecomposition(63, [SubsetChain(63, s) for s in subsets])
+    assert serialize(decomp) == dumps_oracle(decomp)
+
+
 @pytest.mark.parametrize("obj", [build_sjb(7), build_scd(7), JordanBasis(1, [])])
 def test_save_writes_serialize_bytes(tmp_path, obj):
     path = tmp_path / "doc.json"
@@ -181,6 +192,34 @@ def test_rejects_malformed_subsets():
         doc["chains"][0]["vectors"][0][0]["subset"] = bad
         with pytest.raises(DocumentError):
             from_document(doc)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([], 0),
+    ([1, 3, 4], 0b1101),
+    ([4], 0b1000),
+    ("1", "subset must be a list, got str"),
+    ([1, False], "subset elements must be integers: [1, False]"),
+    ([1, 2.0], "subset elements must be integers: [1, 2.0]"),
+    ([1, None, 0], "subset elements must be integers: [1, None, 0]"),
+    ([3, 1], "subset must be sorted without repeats: [3, 1]"),
+    ([1, 70, 3], "subset must be sorted without repeats: [1, 70, 3]"),
+    ([2, 2], "subset must be sorted without repeats: [2, 2]"),
+    ([0, 2], "element 0 outside 1..4"),
+    ([-3, 1], "element -3 outside 1..4"),
+    ([1, 5], "element 5 outside 1..4"),
+    ([5, 6, 70], "element 5 outside 1..4"),
+    ([2, 3, 1 << 70], f"element {1 << 70} outside 1..4"),
+])
+def test_subset_checks_keep_their_messages(raw, message):
+    # The mask is read from a bit table once the ends are in range; the
+    # messages are those of the element-by-element check.
+    if isinstance(message, int):
+        assert serialize_module._parse_subset(raw, 4) == message
+        return
+    with pytest.raises(DocumentError) as exc:
+        serialize_module._parse_subset(raw, 4)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -462,6 +501,46 @@ def test_repeated_top_level_key_is_rejected(tmp_path, capsys):
     path.write_text(text)
     assert main(["verify", str(path)]) == 2
     assert "repeated top-level key 'kind'" in capsys.readouterr().err
+
+
+def test_read_chains_yields_each_chain_before_the_rest_is_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialize_module, "_BLOCK", 1 << 12)
+    basis = build_sjb(8)
+    text = serialize(basis).decode()
+    path = tmp_path / "b8.json"
+    path.write_text(text + "x")  # "Extra data" after 1.4 MB of chains
+    kind, n, chains = read_chains(path)
+    assert (kind, n) == ("sjb", 8)
+    assert next(chains) == basis.chains[0] and next(chains) == basis.chains[1]
+    with pytest.raises(DocumentError) as exc:
+        list(chains)
+    assert str(exc.value) == str(oracle(text + "x"))
+    path.write_text(text)
+    kind, n, chains = read_chains(path)
+    assert JordanBasis(n, list(chains)) == basis == load(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"format_version": "1", "kind": "sjb", "n": 64, "chains": [1, 2', "n must be"),
+    ('{"chains": [], "format_version": "1", "kind": "sjb", "n": 3} x', "not valid JSON"),
+    ('[1, 2]', "document must be an object"),
+], ids=["header", "chains-first", "not-an-object"])
+def test_read_chains_refuses_a_bad_header_at_once(tmp_path, text, message):
+    # A header that streams is checked before any chain is read; any other
+    # layout is read whole first, as load reads it.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(DocumentError, match=message) as exc:
+        read_chains(path)
+    assert str(load_or_error(path)) == str(exc.value)
+
+
+def test_read_chains_of_chains_before_the_header(tmp_path):
+    basis = build_sjb(4)
+    path = tmp_path / "sorted.json"
+    path.write_text(json.dumps(to_document(basis), sort_keys=True))
+    kind, n, chains = read_chains(path)
+    assert (kind, n) == ("sjb", 4) and list(chains) == basis.chains
 
 
 def test_json_error_reports_file_positions(tmp_path, monkeypatch):

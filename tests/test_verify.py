@@ -11,7 +11,7 @@ from sjb.jordan import JordanBasis, JordanChain, build_sjb
 from sjb.lattice import MAX_ITEMS, CapacityError, binomial, subsets_of_rank
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd, chain_length_sequence
 from sjb.vectors import Vector
-from sjb.verify import (InvalidChainError, RatioProfile, chain_reports,
+from sjb.verify import (InvalidChainError, RatioProfile,
                         check_orthogonality, check_ratio_uniformity, check_stack_sizes,
                         compare_profiles, ratio_groups, ratio_profile,
                         ratio_uniformity, unimodality_report, up_rank_check,
@@ -139,7 +139,7 @@ def test_start_rank_counts_witness_never_expects_negative():
     assert failed["start_rank_counts"] == {"start_rank": 3, "got": 1, "expected": 0}
 
 
-def test_chain_reports_are_lazy(monkeypatch):
+def test_chains_valid_stops_at_the_first_failing_chain(monkeypatch):
     import sjb.verify
     calls = []
 
@@ -150,12 +150,9 @@ def test_chain_reports_are_lazy(monkeypatch):
     real = sjb.verify.verify_sjc
     monkeypatch.setattr(sjb.verify, "verify_sjc", spy)
     basis = build_sjb(4)
-    reports = chain_reports(basis)
-    assert calls == []
-    assert [ci for ci, rep in reports if rep.overall] == list(range(len(basis.chains)))
-    assert len(calls) == len(basis.chains)
+    assert verify_sjb(basis, check_full_rank=False).overall
+    assert calls == basis.chains
 
-    # chains_valid stops at the first failing chain.
     calls.clear()
     basis.chains[1] = JordanChain(4, 1, basis.chains[1].vectors[:2])
     failed = {c.name: c.witness for c in verify_sjb(basis, check_full_rank=False).failures()}
