@@ -720,6 +720,43 @@ def test_fault_after_the_chains_prints_nothing(tmp_path, capsys, label, text, er
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+def scd_with_a_duplicate():
+    """The n = 5 scd document with chain 1's first subset also ending chain 0."""
+    doc = to_document(build_scd(5))
+    doc["chains"][0]["subsets"][-1] = doc["chains"][1]["subsets"][0]
+    return doc
+
+
+def faulty_scd_texts():
+    """(label, text, error) of n = 5 scd documents whose fault comes after a
+    chain that fails the checks."""
+    text = json.dumps(scd_with_a_duplicate(), indent=2) + "\n"
+    last = scd_with_a_duplicate()
+    last["chains"][-1]["subsets"][0] = [3, 1]
+    return [("malformed-last-chain", json.dumps(last, indent=2) + "\n",
+             "subset must be sorted without repeats: [3, 1]"),
+            ("key-after-chains", text.rstrip()[:-1] + ',\n  "kind": "scd"\n}\n',
+             "repeated top-level key 'kind'")]
+
+
+def test_scd_with_a_duplicate_fails_verify(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(scd_with_a_duplicate(), indent=2) + "\n")
+    assert main(["verify", str(path)]) == 1
+    assert "FAIL no_duplicates  witness={'subset_mask': 16, 'chains': [0, 1]}" in (
+        capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("label, text, error", faulty_scd_texts(),
+                         ids=[case[0] for case in faulty_scd_texts()])
+@pytest.mark.parametrize("argv", [[], ["--checks", "sjc"]], ids=lambda a: " ".join(a))
+def test_scd_fault_after_the_chains_prints_nothing(tmp_path, capsys, label, text, error, argv):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", str(path), *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("argv", [[], ["--checks", "sjc,basis", "--no-full-rank"],
                                   ["--checks", "ratios,sjc"], "profile"],
                          ids=lambda a: " ".join(a) if isinstance(a, list) else a)

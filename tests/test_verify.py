@@ -1,6 +1,7 @@
 """Verifier: chain/basis validity, orthogonality, ratios, rank results."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
-from sjb.lattice import MAX_ITEMS, CapacityError, binomial, subsets_of_rank
+from sjb.lattice import (MAX_ITEMS, CapacityError, binomial, chains_starting, rank_of,
+                         subsets_of_rank)
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd, chain_length_sequence
 from sjb.vectors import Vector
-from sjb.verify import (InvalidChainError, RatioProfile,
+from sjb.verify import (InvalidChainError, RatioProfile, VerificationReport,
                         check_orthogonality, check_ratio_uniformity, check_stack_sizes,
                         compare_profiles, ratio_groups, ratio_profile,
                         ratio_uniformity, unimodality_report, up_rank_check,
@@ -335,6 +337,99 @@ def test_verify_scd_catches_corruption():
                                 SubsetChain(2, [0b10])])
     report3 = verify_scd(d3)
     assert any(c.name == "saturated" and not c.passed for c in report3.checks)
+
+
+def whole_verify_scd(decomp):
+    """The reference for verify_scd: each check in its own pass over the whole
+    decomposition, with a dict of the masks seen and their last owner."""
+    n = decomp.n
+    report = VerificationReport(f"scd n={n} chains={len(decomp.chains)}")
+    seen, dup = {}, None
+    for ci, ch in enumerate(decomp.chains):
+        for s in ch.subsets:
+            if s in seen and dup is None:
+                dup = {"subset_mask": s, "chains": [seen[s], ci]}
+            seen[s] = ci
+    report.add("no_duplicates", dup is None, dup)
+    report.add("covers_all", len(seen) == 2 ** n, {"got": len(seen), "expected": 2 ** n})
+    bad_sat = next(({"chain": ci, "position": i} for ci, ch in enumerate(decomp.chains)
+                    for i, (a, b) in enumerate(zip(ch.subsets, ch.subsets[1:]))
+                    if a & b != a or rank_of(b) != rank_of(a) + 1), None)
+    report.add("saturated", bad_sat is None, bad_sat)
+    bad_sym = next(({"chain": ci} for ci, ch in enumerate(decomp.chains)
+                    if ch.start_rank + ch.top_rank != n), None)
+    report.add("symmetric", bad_sym is None, bad_sym)
+    starts = Counter(ch.start_rank for ch in decomp.chains)
+    bad = next(({"start_rank": k, "got": starts[k], "expected": chains_starting(n, k)}
+                for k in range(n + 1) if starts[k] != chains_starting(n, k)), None)
+    report.add("start_rank_counts", bad is None, bad)
+    return report
+
+
+def _dup_within(chains, ci):
+    chains[ci].subsets.append(chains[ci].subsets[-1])
+
+
+def _dup_across(chains, ci):
+    chains[ci].subsets[-1] = chains[(ci + 1) % len(chains)].subsets[0]
+
+
+def _missing(chains, ci):
+    if chains[ci].length > 1:
+        chains[ci].subsets.pop()
+    else:
+        del chains[ci]
+
+
+def _unsaturated(chains, ci):  # swaps the ends, or adds an element twice over
+    subs = chains[ci].subsets
+    if len(subs) > 1:
+        subs[0], subs[-1] = subs[-1], subs[0]
+    else:
+        subs.append(subs[0] | (2 ** chains[ci].n - 1))
+
+
+def _asymmetric(chains, ci):
+    subs = chains[ci].subsets
+    chains[ci] = SubsetChain(chains[ci].n, subs[1:] if len(subs) > 1 else subs + subs)
+
+
+def _wrong_starts(chains, ci):  # the chain moved one rank up, its top dropped
+    ch = chains[ci]
+    if ch.length > 1:
+        chains[ci] = SubsetChain(ch.n, ch.subsets[1:-1] or [ch.subsets[-1]])
+    else:
+        chains.append(SubsetChain(ch.n, [ch.subsets[0]]))
+
+
+TAMPERS = {"dup_within": _dup_within, "dup_across": _dup_across, "missing": _missing,
+           "unsaturated": _unsaturated, "asymmetric": _asymmetric,
+           "wrong_starts": _wrong_starts}
+
+
+def scd_cases():
+    """(label, decomposition): built ones for n <= 8, and each tamper applied
+    to the first, a middle and the last chain of each of them."""
+    cases = []
+    for n in range(9):
+        cases.append((f"built n={n}", build_scd(n)))
+        for name, tamper in TAMPERS.items():
+            for ci in sorted({0, binomial(n, n // 2) // 2, binomial(n, n // 2) - 1}):
+                decomp = build_scd(n)
+                tamper(decomp.chains, ci)
+                cases.append((f"{name} n={n} chain={ci}", decomp))
+    return cases
+
+
+def test_scd_cases_fail_every_check():
+    failed = Counter(c.name for _, d in scd_cases() for c in whole_verify_scd(d).failures())
+    assert set(failed) == {"no_duplicates", "covers_all", "saturated", "symmetric",
+                           "start_rank_counts"}
+
+
+@pytest.mark.parametrize("label, decomp", scd_cases(), ids=[c[0] for c in scd_cases()])
+def test_verify_scd_matches_the_whole_decomposition_reference(label, decomp):
+    assert verify_scd(decomp) == whole_verify_scd(decomp)
 
 
 def test_report_rendering():
