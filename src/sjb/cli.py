@@ -104,10 +104,12 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     kind, n, chains = read_chains(args.file)
     if kind == "scd":
-        decomp = ChainDecomposition(n, list(chains))
         if args.checks is not None:
+            for _ in chains:  # a fault in the document is reported first
+                pass
             return _error("--checks applies only to sjb documents")
-        return 0 if _show(verify_scd(decomp)) else 1
+        # Checked as it is read; an n over the work budget is refused first.
+        return 0 if _show(verify_scd(ChainDecomposition(n, chains))) else 1
 
     selected = SJB_CHECKS if args.checks is None else args.checks.split(",")
     unknown = [c for c in selected if c not in SJB_CHECKS]

@@ -245,7 +245,7 @@ def from_document(doc) -> Serializable:
     return _whole(_build(doc))
 
 
-_BLOCK = 1 << 20  # bytes (characters of a str) read from the file at a time
+_BLOCK = 1 << 16  # bytes (characters of a str) read from the file at a time
 _DECODER = json.JSONDecoder()
 # The decoder looks at most 8 characters past where it places a result (the "-"
 # of -Infinity): one placed further from the end of the buffer than this stays.
@@ -376,9 +376,12 @@ class _Reader:
         # A match holds its string: keeping one across a refill keeps the old buffer.
         start_rank, body, head = int(head[1]), len(head[0]), None
         self.canonical = False  # a refusal may scan a block: refuse only once
-        # A refill at least doubles the text from pos: searching again stays linear.
-        while (end := _CHAIN_END.search(self.buf, self.pos)) is None:
-            if self.buf.find('"start_rank"', self.pos + body) >= 0 or not self._fill():
+        done = body  # text after pos searched, less what a match may straddle
+        while (end := _CHAIN_END.search(self.buf, self.pos + done)) is None:
+            if self.buf.find('"start_rank"', self.pos + done) >= 0:
+                return None
+            done = max(body, len(self.buf) - self.pos - 32)  # 32 > either pattern
+            if not self._fill():
                 return None
         # Each vector's text, buf[start:cut], is matched in place, not copied.
         buf, vectors, start, stop = self.buf, [], self.pos + body, end.start()

@@ -8,6 +8,7 @@ re-checked by hand.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -315,30 +316,40 @@ def unimodality_report(n: int, results: list[UpRankResult]) -> VerificationRepor
 
 
 def verify_scd(decomp: ChainDecomposition) -> VerificationReport:
-    """Partition, saturation, and symmetry checks for a chain decomposition."""
-    n = decomp.n
-    report = VerificationReport(f"scd n={n} chains={len(decomp.chains)}")
+    """Partition, saturation, and symmetry checks for a chain decomposition.
 
-    seen: dict[int, int] = {}
-    dup = None
+    decomp.chains is walked once, so it may be a stream.  The first chain
+    holding each mask is kept in a flat array of 2**n entries, made once the
+    work budget admits n; a mask outside 0..2**n-1 fails covers_all.
+    """
+    n, size = decomp.n, 2 ** decomp.n
+    check_items(size, "subsets", f"scd decomposition for n={n}")
+    owner, count, starts = array("i", [-1]) * size, 0, Counter()
+    dup = outside = bad_sat = bad_sym = None
     for ci, ch in enumerate(decomp.chains):
-        for s in ch.subsets:
-            if s in seen and dup is None:
-                dup = {"subset_mask": s, "chains": [seen[s], ci]}
-            seen[s] = ci
+        subs = ch.subsets
+        for s in subs:
+            if not 0 <= s < size:
+                outside = outside or {"chain": ci, "subset_mask": s}
+            elif owner[s] < 0:
+                owner[s], count = ci, count + 1
+            elif dup is None:
+                dup = {"subset_mask": s, "chains": [owner[s], ci]}
+        if bad_sat is None:
+            bad_sat = next(({"chain": ci, "position": i}
+                            for i, (a, b) in enumerate(zip(subs, subs[1:]))
+                            if a & b != a or rank_of(b) != rank_of(a) + 1), None)
+        if bad_sym is None and ch.start_rank + ch.top_rank != n:
+            bad_sym = {"chain": ci}
+        starts[ch.start_rank] += 1
+
+    report = VerificationReport(f"scd n={n} chains={starts.total()}")
     report.add("no_duplicates", dup is None, dup)
-    report.add("covers_all", len(seen) == 2 ** n,
-               {"got": len(seen), "expected": 2 ** n})
-
-    bad_sat = next(({"chain": ci, "position": i} for ci, ch in enumerate(decomp.chains)
-                    for i, (a, b) in enumerate(zip(ch.subsets, ch.subsets[1:]))
-                    if a & b != a or rank_of(b) != rank_of(a) + 1), None)
+    report.add("covers_all", count == size and outside is None,
+               {"got": count, "expected": size, **(outside or {})})
     report.add("saturated", bad_sat is None, bad_sat)
-
-    bad_sym = next(({"chain": ci} for ci, ch in enumerate(decomp.chains)
-                    if ch.start_rank + ch.top_rank != n), None)
     report.add("symmetric", bad_sym is None, bad_sym)
-    _check_start_ranks(report, n, (ch.start_rank for ch in decomp.chains))
+    _check_start_ranks(report, n, starts.elements())
     return report
 
 

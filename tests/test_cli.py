@@ -663,10 +663,7 @@ def test_deeply_nested_document_exits_2(tmp_path, capsys):
 # structural checks take each chain as it is read, and nothing is printed
 # until the whole document has been read and checked.
 
-def test_structural_verify_holds_one_chain_not_the_basis(tmp_path, capsys, monkeypatch):
-    # With 1 MiB blocks the reader's buffers alone are half of the basis at
-    # n = 10; smaller blocks leave what is held besides them.
-    monkeypatch.setattr(importlib.import_module("sjb.serialize"), "_BLOCK", 1 << 16)
+def test_structural_verify_holds_one_chain_not_the_basis(tmp_path, capsys):
     path = tmp_path / "b10.json"
     save(build_sjb(10), path)
     structural = ["verify", str(path), "--checks", "sjc,basis", "--no-full-rank"]
@@ -685,6 +682,33 @@ def test_structural_verify_holds_one_chain_not_the_basis(tmp_path, capsys, monke
         tracemalloc.stop()
     capsys.readouterr()
     assert max(peaks.values()) < whole / 4, (peaks, whole)
+
+
+def test_scd_verify_holds_the_masks_seen_not_the_decomposition(tmp_path, capsys):
+    path = tmp_path / "d14.json"
+    save(build_scd(14), path)
+    tracemalloc.start()
+    try:
+        decomp = load(path)
+        _, whole = tracemalloc.get_traced_memory()
+        del decomp
+        tracemalloc.reset_peak()
+        assert main(["verify", str(path)]) == 0
+        _, streamed = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "overall: PASS" in capsys.readouterr().out
+    assert streamed < whole / 3, (streamed, whole)
+
+
+def test_over_cap_scd_header_exits_2_before_any_chain(tmp_path, capsys):
+    # The chain is not even an object: the cap refuses n before it is read.
+    path = tmp_path / "n40.json"
+    path.write_text('{"format_version": "1", "kind": "scd", "n": 40, "chains": [7]}')
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: scd decomposition for n=40 has 1099511627776 subsets, "
+            "over the cap of 67108864\n")
 
 
 def faulty_sjb_texts():

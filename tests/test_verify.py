@@ -429,7 +429,37 @@ def test_scd_cases_fail_every_check():
 
 @pytest.mark.parametrize("label, decomp", scd_cases(), ids=[c[0] for c in scd_cases()])
 def test_verify_scd_matches_the_whole_decomposition_reference(label, decomp):
-    assert verify_scd(decomp) == whole_verify_scd(decomp)
+    want = whole_verify_scd(decomp)
+    assert verify_scd(decomp) == want
+    # One pass: the chains may come from a stream that cannot be walked again.
+    assert verify_scd(ChainDecomposition(decomp.n, iter(decomp.chains))) == want
+
+
+def test_verify_scd_fails_masks_outside_the_lattice():
+    report = verify_scd(ChainDecomposition(1, [SubsetChain(1, [0, 2])]))
+    assert [c.name for c in report.failures()] == ["covers_all"]
+    assert report.failures()[0].witness == {"got": 1, "expected": 2,
+                                            "chain": 0, "subset_mask": 2}
+    # -2 must not stand for mask 2 by wrapping round the map of masks seen.
+    report = verify_scd(ChainDecomposition(2, [SubsetChain(2, [0, 1, 3]),
+                                               SubsetChain(2, [-2])]))
+    assert [c.name for c in report.failures()] == ["covers_all"]
+    assert report.failures()[0].witness == {"got": 3, "expected": 4,
+                                            "chain": 1, "subset_mask": -2}
+    # Every mask in place still fails with one outside.
+    chains = build_scd(2).chains + [SubsetChain(2, [4])]
+    covers = {c.name: c for c in verify_scd(ChainDecomposition(2, chains)).checks}
+    assert covers["covers_all"].witness == {"got": 4, "expected": 4,
+                                            "chain": 2, "subset_mask": 4}
+
+
+def test_verify_scd_refuses_an_over_cap_n_before_any_chain():
+    def no_chains():
+        raise AssertionError("read a chain")
+        yield
+
+    with pytest.raises(CapacityError, match="scd decomposition for n=27 has 134217728 subsets"):
+        verify_scd(ChainDecomposition(27, no_chains()))
 
 
 def test_report_rendering():
