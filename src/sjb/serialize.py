@@ -302,15 +302,18 @@ class _Reader:
     def _fill(self) -> bool:
         # Reading at least what is left keeps re-decoding long values linear.
         # At the end of the file the buffer stays, and with it error places.
-        block = self.fh.read(max(_BLOCK, len(self.buf) - self.pos))
-        if block:
-            self.origin = self.place(self.pos)
-            # Drop the old buffer before extending what is left of it, so
-            # that it is not held beside the new one.
-            rest, self.buf = self.buf[self.pos:], ""
+        if not (block := self.fh.read(_BLOCK)):
+            return False
+        self.origin = self.place(self.pos)
+        # Drop the old buffer before extending what is left of it, then append
+        # a block at a time, in place: a refill holds one block beside it.
+        rest, self.buf = self.buf[self.pos:], ""
+        want = 2 * len(rest)
+        rest += block
+        while len(rest) < want and (block := self.fh.read(_BLOCK)):
             rest += block
-            self.buf, self.pos = rest, 0
-        return bool(block)
+        self.buf, self.pos = rest, 0
+        return True
 
     def place(self, pos: int) -> tuple[int, int, int]:
         """Characters, newlines and column before buf[pos], in the whole text."""

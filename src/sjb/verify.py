@@ -318,9 +318,9 @@ def unimodality_report(n: int, results: list[UpRankResult]) -> VerificationRepor
 def verify_scd(decomp: ChainDecomposition) -> VerificationReport:
     """Partition, saturation, and symmetry checks for a chain decomposition.
 
-    decomp.chains is walked once, so it may be a stream.  The first chain
-    holding each mask is kept in a flat array of 2**n entries, made once the
-    work budget admits n; a mask outside 0..2**n-1 fails covers_all.
+    decomp.chains is walked once, so it may be a stream.  The first chain of
+    each mask is kept in an array of 2**n entries, made once the work budget
+    admits n; a mask outside 0..2**n-1 fails covers_all.
     """
     n, size = decomp.n, 2 ** decomp.n
     check_items(size, "subsets", f"scd decomposition for n={n}")
