@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .elimination import exact_rank
 from .jordan import JordanBasis, JordanChain
-from .lattice import binomial, chains_starting, check_items, rank_of, subsets_of_rank
+from .lattice import binomial, chains_starting, check_items, subsets_of_rank
 from .operators import up, up_matrix
 from .scd import ChainDecomposition
 from .vectors import NotHomogeneousError, homogeneous_rank
@@ -324,7 +324,7 @@ def verify_scd(decomp: ChainDecomposition) -> VerificationReport:
     """
     n, size = decomp.n, 2 ** decomp.n
     check_items(size, "subsets", f"scd decomposition for n={n}")
-    owner, count, starts = array("i", [-1]) * size, 0, Counter()
+    owner, starts = array("i", [-1]) * size, Counter()
     dup = outside = bad_sat = bad_sym = None
     for ci, ch in enumerate(decomp.chains):
         subs = ch.subsets
@@ -332,19 +332,19 @@ def verify_scd(decomp: ChainDecomposition) -> VerificationReport:
             if not 0 <= s < size:
                 outside = outside or {"chain": ci, "subset_mask": s}
             elif owner[s] < 0:
-                owner[s], count = ci, count + 1
+                owner[s] = ci
             elif dup is None:
                 dup = {"subset_mask": s, "chains": [owner[s], ci]}
         if bad_sat is None:
             bad_sat = next(({"chain": ci, "position": i}
                             for i, (a, b) in enumerate(zip(subs, subs[1:]))
-                            if a & b != a or rank_of(b) != rank_of(a) + 1), None)
+                            if a & b != a or b.bit_count() != a.bit_count() + 1), None)
         if bad_sym is None and ch.start_rank + ch.top_rank != n:
             bad_sym = {"chain": ci}
         starts[ch.start_rank] += 1
-
     report = VerificationReport(f"scd n={n} chains={starts.total()}")
     report.add("no_duplicates", dup is None, dup)
+    count = size - owner.count(-1)
     report.add("covers_all", count == size and outside is None,
                {"got": count, "expected": size, **(outside or {})})
     report.add("saturated", bad_sat is None, bad_sat)
