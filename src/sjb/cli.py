@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-or input errors.  All output is deterministic; nothing is randomized.
+or input errors and when memory runs out.  All output is deterministic;
+nothing is randomized.
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # sjb's numpy arithmetic is integer-only and never reaches a BLAS routine.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -252,6 +255,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (CapacityError, DocumentError, ValueError, OSError) as exc:
         return _error(exc)
+    except MemoryError as exc:
+        return _error(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -214,6 +214,38 @@ def test_rank_rejects_nonpositive_jobs(capsys, jobs):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 158. MiB for an array")
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("up_rank_check", ["rank", "--n", "5", "--jobs", "1"]),
+    ("up_rank_check", ["rank", "--n", "5", "--jobs", "2"]),
+    ("check_orthogonality", ["verify", "{d}/b.json"]),
+], ids=["rank serial", "rank pool", "verify"])
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                   target, argv):
+    # Exit 1 is a FAIL verdict: running out of memory is not one.
+    save(build_sjb(4), tmp_path / "b.json")
+    monkeypatch.setattr(f"sjb.cli.{target}", _out_of_memory)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(sjb.cli.os, "cpu_count", lambda: 4)
+    _InlinePool.sizes = []
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 158. MiB for an array\n"
+    assert _InlinePool.sizes == ([2] if "2" in argv else [])
+
+
+def test_bare_memory_error_says_out_of_memory(monkeypatch, capsys):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("sjb.cli.up_rank_check", out_of_memory)
+    assert main(["rank", "--n", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("command", ["build", "rank", "compare", "stats", "export-matrix"])
 def test_n_commands_refuse_sizes_outside_0_to_63(tmp_path, capsys, command):
     def argv(n):
@@ -640,13 +672,47 @@ def probe_docs(tmp_path_factory):
     (["export-matrix", "--n", "4", "--k", "1", "--out", "{d}/m.csv"], True),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_numpy_loads_only_where_a_rank_is_taken(probe_docs, argv, loads_numpy):
-    src = str(Path(sjb.cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE]
-                          + [a.format(d=probe_docs) for a in argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_child(NUMPY_PROBE, *[a.format(d=probe_docs) for a in argv])
     assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
+
+
+def _run_child(code, *argv, **env):
+    """Runs python -c code in a fresh process that imports this checkout's
+    sjb, without OPENBLAS_NUM_THREADS unless it is given in env."""
+    src = str(Path(sjb.cli.__file__).resolve().parent.parent)
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env.update(env, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+
+
+# numpy's bundled OpenBLAS starts one thread per core at import unless
+# OPENBLAS_NUM_THREADS says otherwise; sjb calls no BLAS routine.
+BLAS_PROBE = ("import os, sys\nfrom sjb.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "tasks = '/proc/self/task'\n"
+              "print(rc, len(os.listdir(tasks)) if os.path.isdir(tasks) else '-',"
+              " os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or os.cpu_count() == 1,
+                    reason="needs /proc/self/task and more than one core")
+def test_cli_starts_numpy_with_one_thread():
+    proc = _run_child(BLAS_PROBE, "rank", "--n", "4")
+    assert proc.stdout.splitlines()[-1] == "0 1 1"
+
+
+def test_cli_keeps_a_thread_count_the_user_set():
+    proc = _run_child(BLAS_PROBE, "rank", "--n", "4", OPENBLAS_NUM_THREADS="2")
+    rc, _, threads = proc.stdout.splitlines()[-1].split()
+    assert (rc, threads) == ("0", "2")
+
+
+def test_library_leaves_the_thread_count_alone():
+    proc = _run_child("import os, sjb\nsjb.up_matrix(4, 1)\n"
+                      "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert proc.stdout == "None\n"
 
 
 def test_deeply_nested_document_exits_2(tmp_path, capsys):
