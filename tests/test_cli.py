@@ -286,6 +286,8 @@ def test_profile_stdout_pinned(tmp_path, capsys):
     save(build_sjb(6), out)
     assert main(["profile", str(out)]) == 0
     assert capsys.readouterr().out == PROFILE_N6.format(mark="", verdict="PASS")
+    assert main(["verify", str(out), "--checks", "ratios"]) == 0
+    capsys.readouterr()
 
     # Tripling the top vector of the second start-rank-1 chain breaks its
     # last ratio; the group still shows the first chain's profile.
@@ -297,13 +299,15 @@ def test_profile_stdout_pinned(tmp_path, capsys):
     assert main(["profile", str(out)]) == 1
     assert capsys.readouterr().out == PROFILE_N6.format(mark="  [NOT UNIFORM]",
                                                         verdict="FAIL")
+    assert main(["verify", str(out), "--checks", "ratios"]) == 1
+    capsys.readouterr()
 
 
 def test_profile_rejects_scd(tmp_path, capsys):
     out = tmp_path / "d.json"
     save(build_scd(3), out)
     assert main(["profile", str(out)]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: profile applies only to sjb documents\n")
 
 
 def test_compare_command(capsys):
@@ -522,14 +526,15 @@ def test_scd_verify_rejects_checks_flag(tmp_path, capsys):
     out = tmp_path / "d.json"
     save(build_scd(2), out)
     assert main(["verify", str(out), "--checks", "ortho"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: --checks applies only to sjb documents\n")
 
 
 def test_verify_unknown_check_exits_2(tmp_path, capsys):
     out = tmp_path / "b.json"
     save(build_sjb(2), out)
     assert main(["verify", str(out), "--checks", "bogus"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == (
+        "", "error: unknown checks ['bogus']; choose from sjc,basis,ortho,ratios\n")
 
 
 def test_documents_identical_across_calls(tmp_path):
@@ -839,11 +844,13 @@ def test_scd_with_a_duplicate_fails_verify(tmp_path, capsys):
 
 @pytest.mark.parametrize("label, text, error", faulty_scd_texts(),
                          ids=[case[0] for case in faulty_scd_texts()])
-@pytest.mark.parametrize("argv", [[], ["--checks", "sjc"]], ids=lambda a: " ".join(a))
+@pytest.mark.parametrize("argv", [[], ["--checks", "sjc"], "profile"],
+                         ids=lambda a: " ".join(a) if isinstance(a, list) else a)
 def test_scd_fault_after_the_chains_prints_nothing(tmp_path, capsys, label, text, error, argv):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert main(["verify", str(path), *argv]) == 2
+    argv = ["profile", str(path)] if argv == "profile" else ["verify", str(path), *argv]
+    assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
