@@ -18,9 +18,9 @@ from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, scd_chains
 from .serialize import DocumentError, export_up_matrix_csv, read_chains, save
 from .verify import (BasisTally, VerificationReport, check_orthogonality,
-                     check_stack_sizes, compare_profiles, profile_groups, ratio_groups,
-                     ratio_profile, ratio_uniformity, unimodality_report,
-                     up_rank_check, verify_scd, verify_sjc)
+                     check_stack_sizes, compare_profiles, profile_groups, ratio_profile,
+                     ratio_uniformity, unimodality_report, up_rank_check, verify_scd,
+                     verify_sjc)
 
 
 def _error(message) -> int:
@@ -104,20 +104,16 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     kind, n, chains = read_chains(args.file)
-    if kind == "scd":
-        if args.checks is not None:
-            for _ in chains:  # a fault in the document is reported first
-                pass
-            return _error("--checks applies only to sjb documents")
-        # Checked as it is read; an n over the work budget is refused first.
-        return 0 if _show(verify_scd(ChainDecomposition(n, chains))) else 1
-
     selected = SJB_CHECKS if args.checks is None else args.checks.split(",")
     unknown = [c for c in selected if c not in SJB_CHECKS]
-    if unknown:
+    if args.checks is not None and (kind == "scd" or unknown):
         for _ in chains:  # a fault in the document is reported first
             pass
-        return _error(f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
+        return _error("--checks applies only to sjb documents" if kind == "scd" else
+                      f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
+    if kind == "scd":
+        # Checked as it is read; an n over the work budget is refused first.
+        return 0 if _show(verify_scd(ChainDecomposition(n, chains))) else 1
     full_rank = "basis" in selected and not args.no_full_rank
     basis = None
     if "ortho" in selected or full_rank:
@@ -166,9 +162,12 @@ def _cmd_rank(args) -> int:
     # More workers than levels or cores would only add processes to start.
     workers = min(args.jobs, len(ks), os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(up_rank_check, [n] * len(ks), ks))
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(up_rank_check, [n] * len(ks), ks))
+        except BrokenExecutor as exc:  # a worker died: no verdict, so not exit 1
+            return _error(exc)
     else:
         results = [up_rank_check(n, k) for k in ks]
     print(f"{'k':>3} {'dim_k':>8} {'dim_k+1':>8} {'rank':>8} "
@@ -189,7 +188,7 @@ def _cmd_profile(args) -> int:
         for _ in chains:  # a fault in the document is reported first
             pass
         return _error("profile applies only to sjb documents")
-    groups = ratio_groups(JordanBasis(n, chains))  # holds the profiles, not the chains
+    groups = profile_groups(map(ratio_profile, chains))  # holds the profiles, not the chains
     report = ratio_uniformity(n, groups)
     for (k, group), check in zip(groups.items(), report.checks):
         ref = group[0][1].ratios

@@ -247,12 +247,6 @@ def ratio_profile(chain: JordanChain) -> RatioProfile:
                         [Fraction(norms[i + 1], norms[i]) for i in range(len(norms) - 1)])
 
 
-def ratio_groups(basis: JordanBasis) -> dict[int, list[tuple[int, RatioProfile]]]:
-    """(chain index, ratio profile) of every chain, by start rank, ascending.
-    basis.chains is walked once, so it may be a stream."""
-    return profile_groups(map(ratio_profile, basis.chains))
-
-
 def profile_groups(profiles) -> dict[int, list[tuple[int, RatioProfile]]]:
     """(index, profile) of each of the chains' profiles, by start rank, ascending."""
     by_start: dict[int, list[tuple[int, RatioProfile]]] = {}
@@ -267,12 +261,12 @@ def check_ratio_uniformity(basis: JordanBasis) -> VerificationReport:
     Exact rational comparison, hence invariant under rescaling any whole
     chain by a nonzero scalar.
     """
-    return ratio_uniformity(basis.n, ratio_groups(basis))
+    return ratio_uniformity(basis.n, profile_groups(map(ratio_profile, basis.chains)))
 
 
 def ratio_uniformity(n: int, groups: dict[int, list[tuple[int, RatioProfile]]]
                      ) -> VerificationReport:
-    """check_ratio_uniformity on profiles already grouped by ratio_groups."""
+    """check_ratio_uniformity on profiles already grouped by profile_groups."""
     report = VerificationReport(f"ratio uniformity n={n}")
     for k, group in groups.items():
         ref_ci, ref = group[0]

@@ -237,6 +237,25 @@ def test_out_of_memory_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys
     assert _InlinePool.sizes == ([2] if "2" in argv else [])
 
 
+_WORKER_DIED = ("A process in the process pool was terminated abruptly while the "
+                "future was running or pending.")
+
+
+class _DyingPool(_InlinePool):
+    """A pool whose worker is killed, as by the OOM killer."""
+
+    def map(self, fn, *iterables):
+        raise concurrent.futures.process.BrokenProcessPool(_WORKER_DIED)
+
+
+def test_dead_rank_worker_exits_2_with_one_error_line(monkeypatch, capsys):
+    # Exit 1 is a FAIL verdict: a dead worker gives no verdict.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _DyingPool)
+    monkeypatch.setattr(sjb.cli.os, "cpu_count", lambda: 4)
+    assert main(["rank", "--n", "5", "--jobs", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {_WORKER_DIED}\n")
+
+
 def test_bare_memory_error_says_out_of_memory(monkeypatch, capsys):
     def out_of_memory(*args):
         raise MemoryError

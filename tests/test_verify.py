@@ -15,7 +15,7 @@ from sjb.scd import ChainDecomposition, SubsetChain, build_scd, chain_length_seq
 from sjb.vectors import Vector
 from sjb.verify import (InvalidChainError, RatioProfile, VerificationReport,
                         check_orthogonality, check_ratio_uniformity, check_stack_sizes,
-                        compare_profiles, ratio_groups, ratio_profile,
+                        compare_profiles, profile_groups, ratio_profile,
                         ratio_uniformity, unimodality_report, up_rank_check,
                         verify_scd, verify_sjb, verify_sjc)
 
@@ -252,7 +252,7 @@ def test_ratio_uniformity_detects_tampering():
 
 def test_ratio_uniformity_reads_grouped_profiles():
     basis = build_sjb(5)
-    groups = ratio_groups(basis)
+    groups = profile_groups(map(ratio_profile, basis.chains))
     assert str(ratio_uniformity(5, groups)) == str(check_ratio_uniformity(basis))
     ci, prof = groups[1][2]
     groups[1][2] = (ci, RatioProfile(1, prof.ratios[:-1] + [prof.ratios[-1] / 9]))
