@@ -354,6 +354,17 @@ def test_stats_command(capsys):
     assert "total chains:  6" in text
 
 
+def test_verify_basis_reports_a_copied_vector(tmp_path, capsys):
+    basis = build_sjb(9)
+    (ci, pos, _), (_, _, v) = basis.vectors_of_rank(4)[:2]
+    basis.chains[ci].vectors[pos] = v
+    path = tmp_path / "tampered9.json"
+    save(basis, path)
+    assert main(["verify", str(path), "--checks", "basis"]) == 1
+    assert ("FAIL full_rank[r=4]  witness={'rank': 4, 'vectors': 126, "
+            "'computed_rank': 125, 'expected': 126}") in capsys.readouterr().out.splitlines()
+
+
 def test_export_matrix_command(tmp_path, capsys):
     out = tmp_path / "m.csv"
     assert main(["export-matrix", "--n", "3", "--k", "1", "--out", str(out)]) == 0

@@ -105,6 +105,22 @@ def test_verify_sjb_duplicated_chain_fails_with_witness():
     assert rank_fail.witness["vectors"] != rank_fail.witness["expected"]
 
 
+def copy_vector_of_rank(basis, r):
+    """basis with its first vector of rank r overwritten by its second."""
+    (ci, pos, _), (_, _, v) = basis.vectors_of_rank(r)[:2]
+    basis.chains[ci].vectors[pos] = v
+    return basis
+
+
+@pytest.mark.parametrize("n, rank", [(8, 69), (9, 125)])
+def test_copied_vector_is_ranked_exactly(n, rank):
+    # The stack is deficient modulo every prime, so no certificate decides it.
+    report = verify_sjb(copy_vector_of_rank(build_sjb(n), 4))
+    failed = {c.name: c.witness for c in report.failures() if c.name.startswith("full_rank")}
+    assert failed == {"full_rank[r=4]": {"rank": 4, "vectors": rank + 1,
+                                         "computed_rank": rank, "expected": rank + 1}}
+
+
 def test_full_rank_ranks_only_stacks_of_the_right_size(monkeypatch):
     import sjb.verify
     ranked = []
