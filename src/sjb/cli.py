@@ -224,7 +224,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_export_matrix(args) -> int:
-    check_ground_size(args.n)
+    if check_ground_size(args.n) < 1:
+        return _error("export-matrix needs --n >= 1")
     export_up_matrix_csv(args.n, args.k, args.out)
     print(f"wrote {args.out} ({binomial(args.n, args.k + 1)}x{binomial(args.n, args.k)})")
     return 0

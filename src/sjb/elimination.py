@@ -1,22 +1,24 @@
-"""Exact integer matrix rank: a modular full-rank certificate, then Bareiss.
+"""Exact integer matrix rank by elimination modulo primes.
 
-Every rank question sjb asks is a full-rank question, so the matrix is
-first eliminated modulo the prime P = 2**31 - 1.  The residues are held in
+A matrix is eliminated modulo the prime P = 2**31 - 1 and, when that rank
+is deficient, modulo each prime below P in turn.  The residues are held in
 numpy int32, 4 bytes an entry, and each update forms its products in int64
-(residues stay below P, so every product stays below 2**62).  A rank mod P
-is never more than the rational rank, since a minor that is nonzero mod P
-is a nonzero integer; so a full modular rank is a certificate of full rank.
+(every prime is below 2**31, so every product stays below 2**62).
 
-A deficient modular rank proves nothing by itself: the matrix may be
-singular, or P may divide every maximal minor.  Such matrices are ranked
-by fraction-free (Bareiss) elimination over the integers, whose update
-rule a[i][j] <- (a[i][j]*pivot - a[i][c]*a[r][j]) / prev keeps every
-intermediate entry an exact minor of the input, so the division is
-always exact.  Either way the result is the exact rank over Q.
+The largest rank seen is the rank over Q once the primes tried are enough:
+
+- the rank mod p is never more than the rational rank, since a minor that
+  is nonzero mod p is a nonzero integer; so a full rank mod P is returned
+  at once, and that is every rank sjb asks for of a sound input;
+- a matrix of rank r has a nonzero r x r minor d, and by Hadamard's
+  inequality d**2 <= h2, the product over rows of max(1, sum_j a_ij**2);
+- once (prod p)**2 > h2, some prime tried does not divide d.  That prime
+  ranks at least r, so the largest rank seen equals r.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import index
 from typing import TYPE_CHECKING, Any
 
@@ -43,23 +45,38 @@ def exact_rank(matrix) -> int:
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
     full = min(a.shape)
-    if a.dtype.kind in "bi":
-        # Reduced in int64 before the narrowing, so no entry wraps, and cast
-        # to int32 in buffered chunks: no full-size int64 copy is made.
-        residues = np.empty(a.shape, dtype=np.int32)
-        np.remainder(a, np.int64(P), out=residues, casting="unsafe")
-    else:
-        # Entries past int64 (uint64 or object arrays): reduce them exactly.
-        # index() refuses a float or a Fraction instead of truncating it.
-        residues = np.array([[index(x) % P for x in row] for row in a.tolist()],
-                            dtype=np.int32)
-    if _rank_mod_p(residues) == full:
-        return full
-    return _rank_bigint([[index(x) for x in row] for row in a.tolist()])
+    if a.dtype.kind not in "bi":
+        # Entries past int64 (uint64 or object arrays) become Python ints,
+        # reduced exactly; index() refuses a float or a Fraction.
+        a = np.frompyfunc(index, 1, 1)(a)
+    residues = np.empty(a.shape, dtype=np.int32)
+    rank, product, h2 = 0, 1, None
+    for p in _primes():
+        # Reduced before the narrowing, so no entry wraps, and cast to int32
+        # in buffered chunks: no full-size int64 copy is made.
+        np.remainder(a, np.int64(p), out=residues, casting="unsafe")
+        rank = max(rank, _rank_mod_p(residues, p))
+        if rank == full:
+            return full
+        if h2 is None:  # one row at a time: no Python copy of the whole matrix
+            h2 = 1
+            for row in a:
+                h2 *= max(1, sum(x * x for x in row.tolist()))
+        product *= p
+        if product * product > h2:
+            return rank
 
 
-def _rank_mod_p(a: ndarray) -> int:
-    """Rank over GF(P) of an int32 or int64 matrix of residues; a is overwritten."""
+def _primes():
+    """P, then every odd prime below it, largest first."""
+    yield P
+    for q in range(P - 2, 2, -2):
+        if all(q % d for d in range(3, isqrt(q) + 1, 2)):
+            yield q
+
+
+def _rank_mod_p(a: ndarray, p: int) -> int:
+    """Rank over GF(p) of an int32 or int64 matrix of residues; a is overwritten."""
     import numpy as np
 
     m, n = a.shape
@@ -79,49 +96,11 @@ def _rank_mod_p(a: ndarray) -> int:
         below = r + nz[1:]
         cols = c + 1 + a[r, c + 1:].nonzero()[0]
         if below.size and cols.size:
-            inv = pow(int(a[r, c]), P - 2, P)
-            piv = a[r, cols].astype(np.int64) * inv % P
+            inv = pow(int(a[r, c]), p - 2, p)
+            piv = a[r, cols].astype(np.int64) * inv % p
             block = a[below[:, None], cols].astype(np.int64)
             block -= np.multiply.outer(a[below, c], piv)
-            block %= P
+            block %= p
             a[below[:, None], cols] = block
-        r += 1
-    return r
-
-
-def _rank_bigint(rows: list[list[int]]) -> int:
-    """Exact rank by Bareiss elimination over Python ints; rows is overwritten."""
-    m = len(rows)
-    n = len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        best = -1
-        best_abs = 0
-        for i in range(r, m):
-            v = rows[i][c]
-            if v and (best < 0 or abs(v) < best_abs):
-                best = i
-                best_abs = abs(v)
-        if best < 0:
-            continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-        piv_row = rows[r]
-        pv = piv_row[c]
-        for i in range(r + 1, m):
-            ri = rows[i]
-            f = ri[c]
-            if f:
-                for j in range(c + 1, n):
-                    ri[j] = (ri[j] * pv - f * piv_row[j]) // prev
-            elif pv != prev:
-                # Bareiss rescales untouched rows too; division stays exact.
-                for j in range(c + 1, n):
-                    ri[j] = ri[j] * pv // prev
-            ri[c] = 0
-        prev = pv
         r += 1
     return r

@@ -373,6 +373,14 @@ def test_export_matrix_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_export_matrix_needs_a_nonempty_ground_set(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sjb.cli, "export_up_matrix_csv", None)  # refused before it runs
+    out = tmp_path / "m.csv"
+    assert main(["export-matrix", "--n", "0", "--k", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: export-matrix needs --n >= 1\n")
+    assert not out.exists()
+
+
 def test_export_matrix_csv_pinned(tmp_path, capsys):
     # sha256 of the CSV as the list-of-lists up matrix wrote it.
     out = tmp_path / "m.csv"

@@ -1,5 +1,6 @@
-"""Exact rank: the modular certificate and the Bareiss fallback, against oracles."""
+"""Exact rank: elimination modulo P, then modulo more primes, against oracles."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from sjb import elimination, verify
 from sjb.cli import main
-from sjb.elimination import P, _rank_bigint, _rank_mod_p, exact_rank
+from sjb.elimination import P, _primes, _rank_mod_p, exact_rank
 from sjb.jordan import build_sjb
 from sjb.operators import up_matrix
 from sjb.verify import _rank_matrix, up_rank_check
@@ -85,61 +86,66 @@ def test_zero_one_incidence_matrices_match_oracle():
         assert exact_rank(mat) == fraction_rank(mat)
 
 
-def test_huge_entries_use_bigint_path():
+def test_huge_entries_match_oracle():
     big = 10 ** 40
     mat = [[big, big + 1, 1], [big - 1, big, 0], [1, 1, 1]]
     assert exact_rank(mat) == fraction_rank(mat)
 
 
 def test_entries_near_2_31_match_oracles():
-    # Entries near 2^31 make Bareiss minors outgrow int64 within a few steps.
+    # Entries near 2^31 make every minor outgrow int64 within a few steps.
     rng = random.Random(23)
     base = 1 << 31
     for _ in range(10):
         mat = [[rng.randint(base - 3, base + 3) for _ in range(5)] for _ in range(5)]
-        assert exact_rank(mat) == fraction_rank(mat) == _rank_bigint([r[:] for r in mat])
+        assert exact_rank(mat) == fraction_rank(mat)
 
 
-def _spy_fallback(monkeypatch):
-    calls = []
-    real = elimination._rank_bigint
-
-    def spy(rows):
-        calls.append(len(rows))
-        return real(rows)
-    monkeypatch.setattr(elimination, "_rank_bigint", spy)
-    return calls
+def test_primes_run_down_from_p():
+    assert list(itertools.islice(_primes(), 6)) == [
+        2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549]
 
 
-@pytest.mark.parametrize("mat, rank", [
-    ([[P, 0, 0], [0, P, 0], [0, 0, P]], 3),            # P*I
-    ([[1, 2, 3], [1, 2 + P, 3]], 2),                    # rows differ by P*e_2
-    ([[2, 1], [1, (P + 1) // 2]], 2),                   # determinant P
-    ([[3, 5, 7], [3 + 2 * P, 5, 7 - P], [0, 1, 1]], 3),
-    ([[1, 2, 3], [2, 4, 6]], 1),                        # singular over Q too
-    ([[0, 0], [0, 0]], 0),
+def _spy_primes(monkeypatch):
+    primes = []
+    real = elimination._rank_mod_p
+
+    def spy(a, p):
+        primes.append(p)
+        return real(a, p)
+    monkeypatch.setattr(elimination, "_rank_mod_p", spy)
+    return primes
+
+
+@pytest.mark.parametrize("mat, rank, primes", [
+    ([[P, 0, 0], [0, P, 0], [0, 0, P]], 3, [P, 2147483629]),        # P*I
+    ([[1, 2, 3], [1, 2 + P, 3]], 2, [P, 2147483629]),                # rows differ by P*e_2
+    ([[2, 1], [1, (P + 1) // 2]], 2, [P, 2147483629]),               # determinant P
+    ([[3, 5, 7], [3 + 2 * P, 5, 7 - P], [0, 1, 1]], 3, [P, 2147483629]),
+    ([[1, 2, 3], [2, 4, 6]], 1, [P]),       # singular over Q, and P^2 > Hadamard's bound
+    ([[0, 0], [0, 0]], 0, [P]),
 ])
-def test_deficient_mod_p_falls_back_to_bareiss(monkeypatch, mat, rank):
-    assert _rank_mod_p(np.array(mat, dtype=np.int64) % P) < min(len(mat), len(mat[0]))
-    calls = _spy_fallback(monkeypatch)
+def test_deficient_mod_p_takes_more_primes(monkeypatch, mat, rank, primes):
+    assert _rank_mod_p(np.array(mat, dtype=np.int64) % P, P) < min(len(mat), len(mat[0]))
+    seen = _spy_primes(monkeypatch)
     assert exact_rank(mat) == rank == fraction_rank(mat)
-    assert calls == [len(mat)]
+    assert seen == primes
 
 
-def test_rank_never_falls_back_to_bareiss(monkeypatch, capsys):
-    # A fallback changes no verdict; it would show only as seconds lost.
-    calls = _spy_fallback(monkeypatch)
+def test_rank_needs_no_second_prime(monkeypatch, capsys):
+    # A second prime changes no verdict; it would show only as seconds lost.
+    seen = _spy_primes(monkeypatch)
     for n in range(1, 11):
         assert main(["rank", "--n", str(n), "--jobs", "1"]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert set(seen) == {P}
 
 
-def test_full_rank_mod_p_skips_bareiss(monkeypatch):
-    calls = _spy_fallback(monkeypatch)
+def test_full_rank_mod_p_takes_one_prime(monkeypatch):
+    seen = _spy_primes(monkeypatch)
     assert exact_rank(up_matrix(6, 2).rows) == 15
     assert exact_rank([[1, 1], [1, 1 + P + 1]]) == 2
-    assert calls == []
+    assert seen == [P, P]
 
 
 @pytest.mark.parametrize("mat", [
@@ -154,7 +160,7 @@ def test_full_rank_mod_p_skips_bareiss(monkeypatch):
     [[3 * ((1 << 62) + 700), -3], [(1 << 62) + 700, -1]],
 ])
 def test_huge_and_negative_entries(mat):
-    assert exact_rank(mat) == fraction_rank(mat) == _rank_bigint([r[:] for r in mat])
+    assert exact_rank(mat) == fraction_rank(mat)
 
 
 def test_numpy_arrays_of_any_integer_dtype():
@@ -239,13 +245,14 @@ def test_exact_rank_of_strided_views(mat):
     assert a.tolist() == mat
 
 
-def test_up_matrices_match_bareiss_oracle():
+def test_up_matrices_match_oracle():
     for n in range(1, 9):
         for k in range(n):
             rows = up_matrix(n, k).rows
-            assert exact_rank(rows) == _rank_bigint([r[:] for r in rows])
+            rank = fraction_rank(rows)
+            assert exact_rank(rows) == rank
             # up_rank_check reorders up before ranking; the oracle ranks up itself.
-            assert up_rank_check(n, k).computed_rank == _rank_bigint([r[:] for r in rows])
+            assert up_rank_check(n, k).computed_rank == rank
 
 
 def test_up_rank_check_ranks_down_with_columns_reversed(monkeypatch):
@@ -257,21 +264,12 @@ def test_up_rank_check_ranks_down_with_columns_reversed(monkeypatch):
         assert np.array_equal(seen.pop(), up_matrix(n, k).matrix.T[:, ::-1])
 
 
-def test_basis_stacks_match_bareiss_oracle():
+def test_basis_stacks_match_oracle():
     for n in range(8):
         basis = build_sjb(n)
         for r in range(n + 1):
             rows = _rank_matrix(basis, r)
-            assert exact_rank(rows) == _rank_bigint([row[:] for row in rows])
-
-
-def test_bigint_path_directly():
-    rng = random.Random(29)
-    for _ in range(40):
-        m = rng.randint(1, 7)
-        n = rng.randint(1, 7)
-        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        assert _rank_bigint([row[:] for row in mat]) == fraction_rank(mat)
+            assert exact_rank(rows) == fraction_rank(rows)
 
 
 @pytest.mark.parametrize("mat", [
@@ -284,6 +282,12 @@ def test_bigint_path_directly():
 def test_non_integer_entries_raise_type_error(mat):
     with pytest.raises(TypeError):
         exact_rank(mat)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_array_that_is_not_a_matrix_rejected(shape):
+    with pytest.raises(ValueError, match=r"^expected a matrix, got an array of shape"):
+        exact_rank(np.ones(shape, dtype=np.int64))
 
 
 def test_ragged_matrix_rejected():

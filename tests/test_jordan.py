@@ -20,6 +20,10 @@ def test_base_case_n0():
     assert ch.start_rank == 0 and ch.vectors == [Vector(0, {0: 1})]
 
 
+def test_chain_repr():
+    assert repr(build_sjb(3).chains[1]) == "JordanChain(n=3, start_rank=1, length=2)"
+
+
 def test_n1_single_chain():
     basis = build_sjb(1)
     assert len(basis.chains) == 1

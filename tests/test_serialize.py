@@ -149,6 +149,11 @@ def test_save_rejects_other_objects_before_opening(tmp_path):
     assert not path.exists()
 
 
+def test_to_document_rejects_other_objects():
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        to_document(object())
+
+
 def test_save_load(tmp_path):
     basis = build_sjb(4)
     path = tmp_path / "b.json"
@@ -833,6 +838,7 @@ def first_term(**fields):
     (first_term(coeff="-0"), "coeff is not in canonical form: '-0'"),
     (first_term(coeff="01"), "coeff is not in canonical form: '01'"),
     (first_term(coeff="1" * 5000), "coeff is not a decimal integer: '%s'" % ("1" * 5000)),
+    (first_term(coeff=5), "coeff must be a string, got int"),
     (lambda ch: ch["vectors"][1].append(dict(ch["vectors"][1][0], coeff="7")),
      "chain 2 vector 1: repeated subset [1, 2]"),
     (first_term(subset=[0, 2]), "element 0 outside 1..4"),
@@ -841,7 +847,7 @@ def first_term(**fields):
     (lambda ch: ch.update(start_rank=5), "chain 2: bad start_rank 5"),
     (lambda ch: ch["vectors"].insert(1, []),
      "chain 2 vector 1: terms must be a non-empty list"),
-], ids=["zero", "minus-zero", "leading-zero", "5000-digits", "repeated-subset",
+], ids=["zero", "minus-zero", "leading-zero", "5000-digits", "int-coeff", "repeated-subset",
         "element-0", "element-n+1", "unsorted", "start-rank-n+1", "empty-vector"])
 def test_fault_in_canonical_text_keeps_its_message(edit, message):
     text = canonical_fault(edit)

@@ -52,6 +52,20 @@ def test_inner_product_hand_values():
     assert Vector(2, {E: 1}).dot(Vector(2, {A: 1})) == 0
 
 
+def test_non_vector_operands():
+    v = Vector(2, {A: 1})
+    assert (v == 5) is False
+    for op in (lambda: v + 1, lambda: v - 1, lambda: v * 1.5):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(TypeError, match="^expected Vector, got int$"):
+        v.dot(5)
+
+
+def test_equal_vectors_hash_equal():
+    assert hash(Vector(2, {A: 1, B: -2})) == hash(Vector(2, {B: -2, A: 1}))
+
+
 def test_mismatched_ground_sets_rejected():
     with pytest.raises(GroundSetMismatchError):
         Vector(2, {A: 1}) + Vector(3, {A: 1})
