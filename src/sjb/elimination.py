@@ -8,8 +8,8 @@ numpy int32, 4 bytes an entry, and each update forms its products in int64
 The largest rank seen is the rank over Q once the primes tried are enough:
 
 - the rank mod p is never more than the rational rank, since a minor that
-  is nonzero mod p is a nonzero integer; so a full rank mod P is returned
-  at once, and that is every rank sjb asks for of a sound input;
+  is nonzero mod p is a nonzero integer; so a full rank mod P, such as
+  that of every up matrix and every sound basis stack, is returned at once;
 - a matrix of rank r has a nonzero r x r minor d, and by Hadamard's
   inequality d**2 <= h2, the product over rows of max(1, sum_j a_ij**2);
 - once (prod p)**2 > h2, some prime tried does not divide d.  That prime
