@@ -1,6 +1,7 @@
 """Verifier: chain/basis validity, orthogonality, ratios, rank results."""
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -515,6 +516,25 @@ def test_under_cap_forged_stack_is_still_ranked():
     checks = {c.name: c for c in verify_sjb(basis).checks}
     assert checks["full_rank[r=0]"].passed and checks["full_rank[r=2]"].passed
     assert checks["full_rank[r=1]"].witness["computed_rank"] is None
+
+
+def test_basis_stack_holds_under_eight_bytes_a_dense_entry():
+    # 924 rank-6 singletons of n = 12: only full_rank[r=6] is ranked.  The
+    # stack is held once, as int8 (1 B), beside int32 residues (4 B);
+    # Python rows and an int64 copy of them held about 20 B an entry.
+    entries = 924 * 924
+    basis = JordanBasis(12, [JordanChain(12, 6, [Vector(12, {s: 1})])
+                             for s in subsets_of_rank(12, 6)])
+    tracemalloc.start()
+    try:
+        checks = {c.name: c for c in verify_sjb(basis).checks}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert checks["full_rank[r=6]"].passed
+    assert all(checks[f"full_rank[r={r}]"].witness["computed_rank"] is None
+               for r in range(13) if r != 6)
+    assert peak < 8 * entries
 
 
 def test_orthogonality_refuses_an_over_cap_rank_before_any_inner_product(monkeypatch):
