@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .elimination import exact_rank
+from .elimination import exact_rank, ndarray
 from .jordan import JordanBasis, JordanChain
 from .lattice import binomial, chains_starting, check_items, subsets_of_rank
 from .operators import up, up_matrix
@@ -118,22 +118,22 @@ def _check_start_ranks(report: VerificationReport, n: int, start_ranks) -> None:
     report.add("start_rank_counts", bad is None, bad)
 
 
-def _rank_matrix(basis: JordanBasis, r: int) -> list[list[int]] | None:
-    """Coordinate rows of all rank-r basis vectors, in ascending-mask order.
+def _rank_matrix(basis: JordanBasis, r: int) -> ndarray | None:
+    """The rank-r basis vectors as rows of the narrowest integer array that
+    holds them, columns in ascending-mask order; None when a vector placed
+    at rank r has a term of another rank."""
+    import numpy as np  # loaded on the first stack ranked, not with the package
 
-    None when a vector placed at rank r has a term of another rank.
-    """
     order = {mask: j for j, mask in enumerate(subsets_of_rank(basis.n, r))}
-    rows = []
-    for _, _, v in basis.vectors_of_rank(r):
-        row = [0] * len(order)
-        for mask, c in v.items():
-            j = order.get(mask)
-            if j is None:
-                return None
-            row[j] = c
-        rows.append(row)
-    return rows
+    terms = [v._terms for _, _, v in basis.vectors_of_rank(r)]
+    if not all(t.keys() <= order.keys() for t in terms):
+        return None
+    # -bound - 1, not -bound: int8 holds -128 but not +128.
+    bound = max((abs(c) for t in terms for c in t.values()), default=0)
+    stack = np.zeros((len(terms), len(order)), dtype=np.min_scalar_type(-bound - 1))
+    for i, t in enumerate(terms):
+        stack[i, list(map(order.get, t))] = list(t.values())
+    return stack
 
 
 def check_stack_sizes(basis: JordanBasis) -> None:
@@ -185,8 +185,8 @@ class BasisTally:
             # nonsingular.  A stack of the wrong size fails without being
             # ranked: its matrix has C(n,r) columns however few vectors the
             # document holds.
-            rows = _rank_matrix(basis, r) if count == expected else None
-            rank = None if rows is None else exact_rank(rows)
+            stack = _rank_matrix(basis, r) if count == expected else None
+            rank = None if stack is None else exact_rank(stack)
             report.add(f"full_rank[r={r}]", rank == expected,
                        {"rank": r, "vectors": count, "computed_rank": rank,
                         "expected": expected})

@@ -4,6 +4,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from sjb import elimination, verify
 from sjb.cli import main
-from sjb.elimination import P, _primes, _rank_mod_p, exact_rank
-from sjb.jordan import build_sjb
+from sjb.elimination import P, _is_prime, _primes, _rank_mod_p, exact_rank
+from sjb.jordan import JordanBasis, JordanChain, build_sjb
 from sjb.operators import up_matrix
+from sjb.vectors import Vector
 from sjb.verify import _rank_matrix, up_rank_check
 
 
@@ -104,6 +106,17 @@ def test_entries_near_2_31_match_oracles():
 def test_primes_run_down_from_p():
     assert list(itertools.islice(_primes(), 6)) == [
         2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549]
+
+
+def _odd_prime_by_trial_division(q):
+    return all(q % d for d in range(3, isqrt(q) + 1, 2))
+
+
+def test_primes_match_trial_division():
+    below_p = (q for q in range(P, 2, -2) if _odd_prime_by_trial_division(q))
+    assert list(itertools.islice(_primes(), 500)) == list(itertools.islice(below_p, 500))
+    for q in range(3, 10 ** 5, 2):
+        assert _is_prime(q) == _odd_prime_by_trial_division(q), q
 
 
 def _spy_primes(monkeypatch):
@@ -269,7 +282,21 @@ def test_basis_stacks_match_oracle():
         basis = build_sjb(n)
         for r in range(n + 1):
             rows = _rank_matrix(basis, r)
-            assert exact_rank(rows) == fraction_rank(rows)
+            assert exact_rank(rows) == fraction_rank(rows.tolist())
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (127, np.int8), (128, np.int16), (P, np.int32), (1 << 31, np.int64),
+    ((1 << 63) - 1, np.int64), (1 << 63, object)])
+def test_basis_stack_takes_the_narrowest_dtype(bound, dtype):
+    # A diagonal rank-1 stack of n = 3 holding -bound and bound: P itself
+    # is deficient modulo P, and int8 holds -128 but not 128.
+    basis = JordanBasis(3, [JordanChain(3, 1, [Vector(3, {1 << i: c})])
+                            for i, c in enumerate([-bound, bound, 1])])
+    stack = _rank_matrix(basis, 1)
+    assert stack.dtype == dtype
+    assert stack.tolist() == [[-bound, 0, 0], [0, bound, 0], [0, 0, 1]]
+    assert exact_rank(stack) == 3
 
 
 @pytest.mark.parametrize("mat", [
