@@ -21,6 +21,7 @@ from sjb.cli import main
 from sjb.serialize import load, save, serialize, to_document
 from sjb.jordan import build_sjb
 from sjb.scd import build_scd
+from sjb.vectors import Vector
 
 
 def test_build_then_verify_sjb(tmp_path, capsys):
@@ -626,6 +627,58 @@ def test_transcript_covers_every_pinned_command():
 @pytest.mark.parametrize("command, code, stdout", CASES, ids=[c[0] for c in CASES])
 def test_stdout_and_exit_code_pinned(_documents, capsys, command, code, stdout):
     argv = [str(_documents / a) if a.endswith(".json") else a for a in command.split()]
+    assert main(argv) == int(code.removeprefix("exit "))
+    assert capsys.readouterr().out == stdout
+
+
+# `verify` of the n = 4 basis and of four tampered copies, under every
+# non-empty --checks subset, with and without --no-full-rank; the transcript
+# has the layout of cli_stdout.txt.
+
+def _tampered_n4(fault: str):
+    basis = build_sjb(4)
+    chains = basis.chains
+    if fault == "broken_link":  # a coefficient of chain 1's rank-2 vector, -2 -> -1
+        chains[1].vectors[1] = chains[1].vectors[1] + Vector.unit(4, 0b0011)
+    elif fault == "duplicated_chain":  # chain 4 replaced by chain 2; both start at rank 1
+        chains[4] = chains[2]
+    elif fault == "rescaled_vector":  # chain 4's rank-2 vector, tripled
+        chains[4].vectors[1] = 3 * chains[4].vectors[1]
+    elif fault == "copied_vector":  # chain 1's rank-2 vector over chain 0's
+        (ci, pos, _), (_, _, v) = basis.vectors_of_rank(2)[:2]
+        chains[ci].vectors[pos] = v
+    return basis
+
+
+CHECKS_DOCUMENTS = {f"sjb_n4{'_' + fault if fault else ''}.json": fault
+                    for fault in ("", "broken_link", "duplicated_chain", "rescaled_vector",
+                                  "copied_vector")}
+CHECKS_COMMANDS = [f"verify {doc} --checks {','.join(subset)}{flag}"
+                   for doc in CHECKS_DOCUMENTS
+                   for r in range(1, 5)
+                   for subset in itertools.combinations(("sjc", "basis", "ortho", "ratios"), r)
+                   for flag in ("", " --no-full-rank")]
+CHECKS_TRANSCRIPT = (Path(__file__).parent / "golden" / "verify_checks.txt").read_text()
+CHECKS_CASES = [case.split("\n", 2)
+                for case in re.split(r"^\$ sjb ", CHECKS_TRANSCRIPT, flags=re.M)[1:]]
+
+
+@pytest.fixture(scope="module")
+def _checks_documents(tmp_path_factory):
+    d = tmp_path_factory.mktemp("checks")
+    for name, fault in CHECKS_DOCUMENTS.items():
+        save(_tampered_n4(fault), d / name)
+    return d
+
+
+def test_checks_transcript_covers_every_subset():
+    assert [case[0] for case in CHECKS_CASES] == CHECKS_COMMANDS
+
+
+@pytest.mark.parametrize("command, code, stdout", CHECKS_CASES,
+                         ids=[c[0] for c in CHECKS_CASES])
+def test_every_checks_subset_pinned(_checks_documents, capsys, command, code, stdout):
+    argv = [str(_checks_documents / a) if a.endswith(".json") else a for a in command.split()]
     assert main(argv) == int(code.removeprefix("exit "))
     assert capsys.readouterr().out == stdout
 
