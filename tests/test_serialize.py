@@ -630,6 +630,29 @@ def test_json_scanned_chains_share_their_ints(tmp_path):
     assert held["compact"] < held["canonical"] * 1.2
 
 
+@pytest.mark.parametrize("layout", ["writer", "compact"])
+def test_distinct_coefficients_are_not_all_kept(tmp_path, layout):
+    # Every coefficient differs, so a parse cache that kept each one would
+    # hold the document's coefficient texts and values: the parent's reader
+    # peaked at 1.3x the file's size in the writer's layout, 0.5x compact.
+    basis = JordanBasis(4, [JordanChain(4, 2, [Vector(4, {3: 10 ** 999 + i})])
+                            for i in range(8000)])
+    path = tmp_path / "coeffs.json"
+    if layout == "writer":
+        save(basis, path)
+    else:
+        path.write_text(json.dumps(to_document(basis)))
+    del basis
+    tracemalloc.start()
+    try:
+        for _ in read_chains(path)[2]:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
 def test_deserialize_reads_a_str_in_place():
     # io.StringIO would copy the text at 4 bytes per character.
     text = serialize(build_sjb(10)).decode()
