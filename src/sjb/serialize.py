@@ -182,6 +182,17 @@ def _parse_coeff(raw) -> int:
     return value
 
 
+# A built basis has at most 2^14 distinct subsets and 900 distinct coefficients,
+# none over 11 digits (n = 14).  A parse cache that passes its size is emptied,
+# so a document of distinct values keeps at most a cache's worth of them.
+_MASKS_KEPT, _COEFFS_KEPT = 1 << 14, 1 << 10
+
+
+def _trim(cache: dict, size: int) -> None:
+    if len(cache) > size:
+        cache.clear()
+
+
 def _build(doc, chains=None):
     """Check doc's header and yield its (kind, n), then check, build and yield
     each of the decoded chains given (doc's if None) in turn."""
@@ -197,7 +208,7 @@ def _build(doc, chains=None):
         _require(isinstance(chains, list), "chains must be a list")
     yield kind, n
     key = "vectors" if kind == "sjb" else "subsets"
-    ints = {}  # one object per distinct mask or coefficient
+    masks, coeffs = {}, {}  # one object per distinct mask or coefficient
     for ci, ch in enumerate(chains):
         if isinstance(ch, JordanChain):  # streamed, and checked by _Reader.canonical_chain
             yield ch
@@ -216,6 +227,8 @@ def _build(doc, chains=None):
                      f"{chain.start_rank} of its first subset")
             yield chain
             continue
+        _trim(masks, _MASKS_KEPT)
+        _trim(coeffs, _COEFFS_KEPT)
         vectors = []
         for vi, terms_raw in enumerate(items):
             where = f"chain {ci} vector {vi}"
@@ -229,7 +242,7 @@ def _build(doc, chains=None):
                 if mask in terms:
                     raise DocumentError(f"{where}: repeated subset {t['subset']!r}")
                 coeff = _parse_coeff(t["coeff"])
-                terms[ints.setdefault(mask, mask)] = ints.setdefault(coeff, coeff)
+                terms[masks.setdefault(mask, mask)] = coeffs.setdefault(coeff, coeff)
             vectors.append(Vector._from_terms(n, terms))  # checked above
         yield JordanChain(n, start, vectors)
 
@@ -386,6 +399,8 @@ class _Reader:
             done = max(body, len(self.buf) - self.pos - 32)  # 32 > either pattern
             if not self._fill():
                 return None
+        _trim(self.masks, _MASKS_KEPT)
+        _trim(self.coeffs, _COEFFS_KEPT)
         # Each vector's text, buf[start:cut], is matched in place, not copied.
         buf, vectors, start, stop = self.buf, [], self.pos + body, end.start()
         try:
