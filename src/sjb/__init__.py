@@ -14,9 +14,9 @@ from .serialize import (DocumentError, deserialize, export_up_matrix_csv,
 from .vectors import (GroundSetMismatchError, NotHomogeneousError, Vector,
                       homogeneous_rank)
 from .verify import (Check, InvalidChainError, RatioProfile, UpRankResult,
-                     VerificationReport, check_orthogonality,
+                     SjcReport, VerificationReport, check_orthogonality,
                      check_ratio_uniformity, ratio_profile, unimodality_report,
-                     up_rank_check, verify_scd, verify_sjb, verify_sjc)
+                     up_rank_check, verify_chains, verify_scd, verify_sjb, verify_sjc)
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,8 @@ __all__ = [
     "SubsetChain", "ChainDecomposition", "build_scd",
     "chain_length_profile", "chain_length_sequence",
     "exact_rank",
-    "VerificationReport", "Check", "RatioProfile", "UpRankResult",
-    "verify_sjc", "verify_sjb", "verify_scd", "check_orthogonality",
+    "VerificationReport", "SjcReport", "Check", "RatioProfile", "UpRankResult",
+    "verify_sjc", "verify_sjb", "verify_chains", "verify_scd", "check_orthogonality",
     "ratio_profile", "check_ratio_uniformity", "up_rank_check",
     "unimodality_report", "InvalidChainError",
     "serialize", "deserialize", "to_document", "from_document",

@@ -17,24 +17,14 @@ from .lattice import CapacityError, binomial, chains_starting, check_ground_size
 from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, scd_chains
 from .serialize import DocumentError, export_up_matrix_csv, read_chains, save
-from .verify import (BasisTally, VerificationReport, check_orthogonality,
-                     check_stack_sizes, compare_profiles, profile_groups, ratio_profile,
-                     ratio_uniformity, unimodality_report, up_rank_check, verify_scd,
-                     verify_sjc)
+from .verify import (SJB_CHECKS, compare_profiles, profile_groups, ratio_profile,
+                     ratio_uniformity, unimodality_report, up_rank_check, verify_chains,
+                     verify_scd)
 
 
 def _error(message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _show(report: VerificationReport) -> bool:
-    print(report)
-    return report.overall
-
-
-# The checks `verify` runs on an sjb document, in the order they print.
-SJB_CHECKS = ("sjc", "basis", "ortho", "ratios")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,50 +92,23 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _refuse(chains, message) -> int:
+    for _ in chains:  # a fault in the document is reported first
+        pass
+    return _error(message)
+
+
 def _cmd_verify(args) -> int:
     kind, n, chains = read_chains(args.file)
-    selected = SJB_CHECKS if args.checks is None else args.checks.split(",")
-    unknown = [c for c in selected if c not in SJB_CHECKS]
+    checks = SJB_CHECKS if args.checks is None else args.checks.split(",")
+    unknown = [c for c in checks if c not in SJB_CHECKS]
     if args.checks is not None and (kind == "scd" or unknown):
-        for _ in chains:  # a fault in the document is reported first
-            pass
-        return _error("--checks applies only to sjb documents" if kind == "scd" else
-                      f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
-    if kind == "scd":
-        # Checked as it is read; an n over the work budget is refused first.
-        return 0 if _show(verify_scd(ChainDecomposition(n, chains))) else 1
-    full_rank = "basis" in selected and not args.no_full_rank
-    basis = None
-    if "ortho" in selected or full_rank:
-        # These need the rank stacks: hold them, and refuse an over-cap one
-        # before any chain is checked.
-        basis = JordanBasis(n, list(chains))
-        check_stack_sizes(basis)
-        chains = basis.chains
-    # Otherwise each chain goes to the selected checks as it is read.
-    count, sjc_failed, tally, profiles = 0, [], BasisTally(n), []
-    for ch in chains:
-        count += 1
-        if "sjc" in selected and not (report := verify_sjc(ch)).overall:
-            sjc_failed.append(report)
-        if "basis" in selected:
-            tally.add(ch)
-        if "ratios" in selected:
-            profiles.append(ratio_profile(ch))
-
-    passed = []
-    if "sjc" in selected:
-        for report in sjc_failed:
-            print(report)
-        print(f"== sjc: {count} chains checked: {'FAIL' if sjc_failed else 'PASS'} ==")
-        passed.append(not sjc_failed)
-    if "basis" in selected:
-        passed.append(_show(tally.report(basis if full_rank else None)))
-    if "ortho" in selected:
-        passed.append(_show(check_orthogonality(basis)))
-    if "ratios" in selected:
-        passed.append(_show(ratio_uniformity(n, profile_groups(profiles))))
-    return 0 if all(passed) else 1
+        return _refuse(chains, "--checks applies only to sjb documents" if kind == "scd" else
+                       f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
+    reports = ([verify_scd(ChainDecomposition(n, chains))] if kind == "scd" else
+               verify_chains(n, chains, checks, not args.no_full_rank))
+    print(*reports, sep="\n")
+    return 0 if all(r.overall for r in reports) else 1
 
 
 def _cmd_rank(args) -> int:
@@ -185,9 +148,7 @@ def _cmd_rank(args) -> int:
 def _cmd_profile(args) -> int:
     kind, n, chains = read_chains(args.file)
     if kind != "sjb":
-        for _ in chains:  # a fault in the document is reported first
-            pass
-        return _error("profile applies only to sjb documents")
+        return _refuse(chains, "profile applies only to sjb documents")
     groups = profile_groups(map(ratio_profile, chains))  # holds the profiles, not the chains
     report = ratio_uniformity(n, groups)
     for (k, group), check in zip(groups.items(), report.checks):

@@ -182,15 +182,12 @@ def _parse_coeff(raw) -> int:
     return value
 
 
-# A built basis has at most 2^14 distinct subsets and 900 distinct coefficients,
-# none over 11 digits (n = 14).  A parse cache that passes its size is emptied,
-# so a document of distinct values keeps at most a cache's worth of them.
-_MASKS_KEPT, _COEFFS_KEPT = 1 << 14, 1 << 10
-
-
-def _trim(cache: dict, size: int) -> None:
-    if len(cache) > size:
-        cache.clear()
+def _trim(masks: dict, coeffs: dict) -> None:
+    """Empty a parse cache past its size, set above what a built basis uses:
+    2^14 subsets and 900 coefficients of at most 11 digits (n = 14)."""
+    for cache, size in ((masks, 1 << 14), (coeffs, 1 << 10)):
+        if len(cache) > size:
+            cache.clear()
 
 
 def _build(doc, chains=None):
@@ -227,8 +224,7 @@ def _build(doc, chains=None):
                      f"{chain.start_rank} of its first subset")
             yield chain
             continue
-        _trim(masks, _MASKS_KEPT)
-        _trim(coeffs, _COEFFS_KEPT)
+        _trim(masks, coeffs)
         vectors = []
         for vi, terms_raw in enumerate(items):
             where = f"chain {ci} vector {vi}"
@@ -399,8 +395,7 @@ class _Reader:
             done = max(body, len(self.buf) - self.pos - 32)  # 32 > either pattern
             if not self._fill():
                 return None
-        _trim(self.masks, _MASKS_KEPT)
-        _trim(self.coeffs, _COEFFS_KEPT)
+        _trim(self.masks, self.coeffs)
         # Each vector's text, buf[start:cut], is matched in place, not copied.
         buf, vectors, start, stop = self.buf, [], self.pos + body, end.start()
         try:

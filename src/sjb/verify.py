@@ -145,52 +145,85 @@ def check_stack_sizes(basis: JordanBasis) -> None:
         check_items(count * count, "entries", f"rank {r} stack of n={basis.n}")
 
 
-class BasisTally:
-    """What verify_sjb needs of a basis's chains, gathered one chain at a time,
-    so that they may come from a stream: the first chain verify_sjc fails and
-    every chain's (start_rank, length)."""
+# The checks verify_chains runs, in the order of its reports.
+SJB_CHECKS = ("sjc", "basis", "ortho", "ratios")
 
-    def __init__(self, n: int):
-        self.n, self.shapes, self.bad_chain = n, [], None
 
-    def add(self, chain: JordanChain) -> None:
-        if self.bad_chain is None:
-            sub = verify_sjc(chain)
-            if not sub.overall:
-                self.bad_chain = {"chain": len(self.shapes),
-                                  "failed": [c.name for c in sub.failures()]}
-        self.shapes.append((chain.start_rank, chain.length))
+@dataclass
+class SjcReport:
+    """verify_sjc over a basis's chains: each failed chain's report, then the count."""
 
-    def report(self, basis: JordanBasis | None = None) -> VerificationReport:
-        """verify_sjb's report; given the basis of these chains, with its
-        full-rank checks."""
-        n = self.n
-        report = VerificationReport(f"sjb n={n} chains={len(self.shapes)}")
-        report.add("chains_valid", self.bad_chain is None, self.bad_chain)
+    count: int
+    failed: list[VerificationReport]
 
-        total = sum(length for _, length in self.shapes)
-        report.add("total_count", total == 2 ** n, {"got": total, "expected": 2 ** n})
+    @property
+    def overall(self) -> bool:
+        return not self.failed
 
-        at_rank = Counter(r for k, length in self.shapes for r in range(k, k + length))
-        counts = [at_rank[r] for r in range(n + 1)]
-        bad_rank = next(({"rank": r, "got": got, "expected": binomial(n, r)}
-                         for r, got in enumerate(counts) if got != binomial(n, r)), None)
-        report.add("rank_counts", bad_rank is None, bad_rank)
-        _check_start_ranks(report, n, (k for k, _ in self.shapes))
-        if basis is None:
-            return report
-        for r, count in enumerate(counts):
-            expected = binomial(n, r)
-            # The stack must be square (C(n,r) vectors of rank r) and
-            # nonsingular.  A stack of the wrong size fails without being
-            # ranked: its matrix has C(n,r) columns however few vectors the
-            # document holds.
-            stack = _rank_matrix(basis, r) if count == expected else None
-            rank = None if stack is None else exact_rank(stack)
-            report.add(f"full_rank[r={r}]", rank == expected,
-                       {"rank": r, "vectors": count, "computed_rank": rank,
-                        "expected": expected})
+    def __str__(self) -> str:
+        verdict = f"== sjc: {self.count} chains checked: {'FAIL' if self.failed else 'PASS'} =="
+        return "\n".join([*map(str, self.failed), verdict])
+
+
+def _basis_report(n: int, shapes: list[tuple[int, int]], bad_chain: dict | None,
+                  basis: JordanBasis | None) -> VerificationReport:
+    """verify_sjb's report; given the basis of these chains, with its full-rank checks."""
+    report = VerificationReport(f"sjb n={n} chains={len(shapes)}")
+    report.add("chains_valid", bad_chain is None, bad_chain)
+
+    total = sum(length for _, length in shapes)
+    report.add("total_count", total == 2 ** n, {"got": total, "expected": 2 ** n})
+
+    at_rank = Counter(r for k, length in shapes for r in range(k, k + length))
+    counts = [at_rank[r] for r in range(n + 1)]
+    bad_rank = next(({"rank": r, "got": got, "expected": binomial(n, r)}
+                     for r, got in enumerate(counts) if got != binomial(n, r)), None)
+    report.add("rank_counts", bad_rank is None, bad_rank)
+    _check_start_ranks(report, n, (k for k, _ in shapes))
+    if basis is None:
         return report
+    for r, count in enumerate(counts):
+        expected = binomial(n, r)
+        # The stack must be square (C(n,r) vectors of rank r) and
+        # nonsingular.  A stack of the wrong size fails without being
+        # ranked: its matrix has C(n,r) columns however few vectors the
+        # document holds.
+        stack = _rank_matrix(basis, r) if count == expected else None
+        rank = None if stack is None else exact_rank(stack)
+        report.add(f"full_rank[r={r}]", rank == expected,
+                   {"rank": r, "vectors": count, "computed_rank": rank,
+                    "expected": expected})
+    return report
+
+
+def verify_chains(n: int, chains, checks=SJB_CHECKS, full_rank: bool = True
+                  ) -> list[SjcReport | VerificationReport]:
+    """The reports of the named checks on a basis's chains, in SJB_CHECKS
+    order, from one pass over them.  chains may be a stream: they are held
+    only when ortho, or basis with full_rank, needs the rank stacks, and then
+    a stack over the work budget raises CapacityError before any is checked."""
+    full_rank = full_rank and "basis" in checks
+    basis = None
+    if "ortho" in checks or full_rank:
+        basis = JordanBasis(n, list(chains))
+        check_stack_sizes(basis)
+        chains = basis.chains
+    shapes, failed, bad_chain, profiles = [], [], None, []
+    for ch in chains:
+        if "sjc" in checks and not (report := verify_sjc(ch)).overall:
+            failed.append(report)
+        # chains_valid runs verify_sjc again: perfbench/run.py pins 2·C(n, n/2)
+        # verify_sjc calls per full verify, and the traced CI steps check them.
+        if "basis" in checks and bad_chain is None and not (sub := verify_sjc(ch)).overall:
+            bad_chain = {"chain": len(shapes), "failed": [c.name for c in sub.failures()]}
+        shapes.append((ch.start_rank, ch.length))
+        if "ratios" in checks:
+            profiles.append(ratio_profile(ch))
+    reports = {"sjc": lambda: SjcReport(len(shapes), failed),
+               "basis": lambda: _basis_report(n, shapes, bad_chain, basis if full_rank else None),
+               "ortho": lambda: check_orthogonality(basis),
+               "ratios": lambda: ratio_uniformity(n, profile_groups(profiles))}
+    return [reports[c]() for c in SJB_CHECKS if c in checks]
 
 
 def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> VerificationReport:
@@ -200,12 +233,7 @@ def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> Verification
     integer matrix per rank, and raises CapacityError past the work budget;
     disable it via check_full_rank where only the structural checks are wanted.
     """
-    if check_full_rank:
-        check_stack_sizes(basis)
-    tally = BasisTally(basis.n)
-    for ch in basis.chains:
-        tally.add(ch)
-    return tally.report(basis if check_full_rank else None)
+    return verify_chains(basis.n, basis.chains, ("basis",), check_full_rank)[0]
 
 
 def check_orthogonality(basis: JordanBasis) -> VerificationReport:
@@ -261,7 +289,7 @@ def check_ratio_uniformity(basis: JordanBasis) -> VerificationReport:
     Exact rational comparison, hence invariant under rescaling any whole
     chain by a nonzero scalar.
     """
-    return ratio_uniformity(basis.n, profile_groups(map(ratio_profile, basis.chains)))
+    return verify_chains(basis.n, basis.chains, ("ratios",))[0]
 
 
 def ratio_uniformity(n: int, groups: dict[int, list[tuple[int, RatioProfile]]]

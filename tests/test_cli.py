@@ -220,15 +220,15 @@ def _out_of_memory(*args):
 
 
 @pytest.mark.parametrize("target, argv", [
-    ("up_rank_check", ["rank", "--n", "5", "--jobs", "1"]),
-    ("up_rank_check", ["rank", "--n", "5", "--jobs", "2"]),
-    ("check_orthogonality", ["verify", "{d}/b.json"]),
+    ("sjb.cli.up_rank_check", ["rank", "--n", "5", "--jobs", "1"]),
+    ("sjb.cli.up_rank_check", ["rank", "--n", "5", "--jobs", "2"]),
+    ("sjb.verify.check_orthogonality", ["verify", "{d}/b.json"]),
 ], ids=["rank serial", "rank pool", "verify"])
 def test_out_of_memory_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
                                                    target, argv):
     # Exit 1 is a FAIL verdict: running out of memory is not one.
     save(build_sjb(4), tmp_path / "b.json")
-    monkeypatch.setattr(f"sjb.cli.{target}", _out_of_memory)
+    monkeypatch.setattr(target, _out_of_memory)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(sjb.cli.os, "cpu_count", lambda: 4)
     _InlinePool.sizes = []
@@ -976,7 +976,6 @@ def test_default_verify_checks_each_chain_twice(tmp_path, capsys, monkeypatch):
         return real(chain)
 
     monkeypatch.setattr(sjb.verify, "verify_sjc", spy)
-    monkeypatch.setattr(sjb.cli, "verify_sjc", spy)
     path = tmp_path / "b7.json"
     save(build_sjb(7), path)
     assert main(["verify", str(path)]) == 0
