@@ -200,8 +200,8 @@ def verify_chains(n: int, chains, checks=SJB_CHECKS, full_rank: bool = True
                   ) -> list[SjcReport | VerificationReport]:
     """The reports of the named checks on a basis's chains, in SJB_CHECKS
     order, from one pass over them.  chains may be a stream: they are held
-    only when ortho, or basis with full_rank, needs the rank stacks, and then
-    a stack over the work budget raises CapacityError before any is checked."""
+    only when ortho, or basis with full_rank, needs the rank stacks, and a
+    stack over the work budget then raises CapacityError before any check."""
     full_rank = full_rank and "basis" in checks
     basis = None
     if "ortho" in checks or full_rank:

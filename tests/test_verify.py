@@ -18,7 +18,7 @@ from sjb.verify import (InvalidChainError, RatioProfile, VerificationReport,
                         check_orthogonality, check_ratio_uniformity, check_stack_sizes,
                         compare_profiles, profile_groups, ratio_profile,
                         ratio_uniformity, unimodality_report, up_rank_check,
-                        verify_scd, verify_sjb, verify_sjc)
+                        verify_chains, verify_scd, verify_sjb, verify_sjc)
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
 
@@ -192,6 +192,21 @@ def test_verify_sjb_full_rank_toggle():
     without = verify_sjb(basis, check_full_rank=False)
     assert any(c.name.startswith("full_rank") for c in with_rank.checks)
     assert not any(c.name.startswith("full_rank") for c in without.checks)
+
+
+@pytest.mark.parametrize("checks", [("ratios", "sjc"), ("ortho", "basis"), ("ortho",)])
+def test_verify_chains_reads_a_stream_as_a_list(checks):
+    # A generator gives what the held list gives, also when ortho holds it,
+    # and each check's report comes in SJB_CHECKS order whatever the order asked.
+    basis = build_sjb(5)
+    (ci, pos, _), (_, _, v) = basis.vectors_of_rank(2)[:2]
+    basis.chains[ci].vectors[pos] = v
+    listed = verify_chains(5, basis.chains, checks)
+    streamed = verify_chains(5, (ch for ch in basis.chains), checks)
+    alone = [verify_chains(5, basis.chains, (c,))[0]
+             for c in ("sjc", "basis", "ortho", "ratios") if c in checks]
+    assert list(map(str, streamed)) == list(map(str, listed)) == list(map(str, alone))
+    assert not all(r.overall for r in listed)
 
 
 def test_orthogonality_of_built_bases():
