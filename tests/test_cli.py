@@ -811,6 +811,34 @@ def test_library_leaves_the_thread_count_alone():
     assert proc.stdout == "None\n"
 
 
+# Under a tight ulimit -v numpy's import fails with an ImportError whose
+# __cause__ names the shared object that could not be mapped; a numpy that
+# cannot be imported at all stands in for it here.
+NO_NUMPY = ("import sys\nsys.modules['numpy'] = None\nfrom sjb.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+
+
+def test_numpy_that_cannot_be_imported_exits_2(probe_docs):
+    proc = _run_child(NO_NUMPY, "verify", str(probe_docs / "b.json"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert re.fullmatch(r"error: [^\n]*numpy[^\n]*\n", proc.stderr)
+
+
+def test_import_error_is_worded_by_its_cause(monkeypatch, probe_docs, capsys):
+    def fail(*args):
+        try:
+            raise ImportError("libquadmath.so.0: failed to map segment from shared object")
+        except ImportError as exc:
+            raise ImportError("\n\nIMPORTANT: PLEASE READ THIS\n\nImporting failed") from exc
+    monkeypatch.setattr(sjb.cli, "verify_chains", fail)
+    assert main(["verify", str(probe_docs / "b.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: libquadmath.so.0: failed to map segment "
+                            "from shared object\n")
+
+
 def test_deeply_nested_document_exits_2(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"format_version": "1", "kind": "sjb", "n": 2, "chains": '

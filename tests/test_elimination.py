@@ -1,7 +1,11 @@
 """Exact rank: elimination modulo P, then modulo more primes, against oracles."""
 
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sjb
 from sjb import elimination, verify
 from sjb.cli import main
 from sjb.elimination import P, _is_prime, _primes, _rank_mod_p, exact_rank
@@ -317,6 +322,48 @@ def test_array_that_is_not_a_matrix_rejected(shape):
         exact_rank(np.ones(shape, dtype=np.int64))
 
 
+def test_float_array_that_is_not_a_matrix_rejected_before_its_entries():
+    # The shape is checked before any entry is converted: no TypeError for 0.5.
+    with pytest.raises(ValueError, match=r"^expected a matrix, got an array of shape"):
+        exact_rank(np.full((2, 2, 2), 0.5))
+
+
+@pytest.mark.parametrize("mat", [[], [[], []], np.empty((3, 0))])
+def test_empty_float_matrix_has_rank_zero(mat):
+    assert np.asarray(mat).dtype == float
+    assert exact_rank(mat) == 0
+
+
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         exact_rank([[1, 2], [3]])
+
+
+# 100 x 100 entries of 1,000 digits with two equal rows: deficient modulo every
+# prime, and Hadamard's bound asks for about 11,000 primes, each a pass over
+# 10,000 big entries, minutes of work.  A child process, since an exact_rank
+# without the cap would hold the test that long.
+CAP_PROBE = """
+import random, time
+from sjb.elimination import exact_rank
+from sjb.lattice import CapacityError
+rng = random.Random(3)
+rows = [[10 ** 999 + rng.getrandbits(3000) for _ in range(100)] for _ in range(99)]
+start = time.perf_counter()
+try:
+    exact_rank(rows + rows[:1])
+except CapacityError as exc:
+    print(f"{time.perf_counter() - start:.2f}", exc)
+"""
+
+
+def test_prime_loop_past_the_cap_is_refused():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sjb.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", CAP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    seconds, message = proc.stdout.split(" ", 1)
+    assert float(seconds) < 2.0
+    assert re.fullmatch(r"exact rank of a deficient 100x100 matrix has \d+ words over "
+                        r"\d+ primes, over the cap of 67108864\n", message)
