@@ -216,8 +216,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (CapacityError, DocumentError, ValueError, OSError) as exc:
         return _error(exc)
-    except MemoryError as exc:
-        return _error(str(exc) or "out of memory")
+    except (ImportError, MemoryError) as exc:  # numpy's ImportError names its cause
+        return _error(exc.__cause__ or str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ The largest rank seen is the rank over Q once the primes tried are enough:
 - a matrix of rank r has a nonzero r x r minor d, and by Hadamard's
   inequality d**2 <= h2, the product over rows of max(1, sum_j a_ij**2);
 - once (prod p)**2 > h2, some prime tried does not divide d.  That prime
-  ranks at least r, so the largest rank seen equals r.
+  ranks at least r, so the largest rank seen equals r.  Every prime is
+  above 2**30, so h2.bit_length() // 60 + 1 primes pass h2; before a second
+  is tried, that many times the matrix's 64-bit words must fit the budget.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from __future__ import annotations
 from operator import index
 from typing import TYPE_CHECKING, Any
 
+from .lattice import check_items
+
 if TYPE_CHECKING:
     from numpy import ndarray
 else:
-    ndarray = Any  # numpy is imported by the first rank taken, not here
+    ndarray = Any  # numpy is imported by the first array made, not here
 
 P = (1 << 31) - 1
 
@@ -35,19 +39,15 @@ def exact_rank(matrix) -> int:
     import numpy as np  # loaded on the first rank taken, not with the package
 
     a = np.asarray(matrix)
-    if a.dtype.kind not in "biuO":
-        # Python ints mixing values past 2**63 with negatives promote to
-        # float64, which rounds them; keep the original ints instead.
-        a = np.array(matrix, dtype=object)
     if a.size == 0:
         return 0
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
     full = min(a.shape)
     if a.dtype.kind not in "bi":
-        # Entries past int64 (uint64 or object arrays) become Python ints,
-        # reduced exactly; index() refuses a float or a Fraction.
-        a = np.frompyfunc(index, 1, 1)(a)
+        # Exact Python ints, from matrix itself: a list mixing ints past 2**63
+        # with negatives promotes to float64.  index() refuses float and Fraction.
+        a = np.frompyfunc(index, 1, 1)(np.asarray(matrix, dtype=object))
     residues = np.empty(a.shape, dtype=np.int32)
     rank, product, h2 = 0, 1, None
     for p in _primes():
@@ -58,9 +58,13 @@ def exact_rank(matrix) -> int:
         if rank == full:
             return full
         if h2 is None:  # one row at a time: no Python copy of the whole matrix
-            h2 = 1
-            for row in a:
-                h2 *= max(1, sum(x * x for x in row.tolist()))
+            h2, words = 1, 0
+            for row in map(np.ndarray.tolist, a):
+                h2 *= max(1, sum(x * x for x in row))
+                words += sum(x.bit_length() // 64 + 1 for x in row)
+            primes = h2.bit_length() // 60 + 1
+            check_items(primes * words, f"words over {primes} primes",
+                        f"exact rank of a deficient {a.shape[0]}x{a.shape[1]} matrix")
         product *= p
         if product * product > h2:
             return rank

@@ -11,15 +11,10 @@ the dense matrix form exists only for rank checks and export.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
 
+from .elimination import ndarray
 from .lattice import binomial, check_items, covered_by, covers_of, subsets_of_rank
 from .vectors import Vector
-
-if TYPE_CHECKING:
-    from numpy import ndarray
-else:
-    ndarray = Any  # numpy is imported by the first up_matrix made, not here
 
 
 # The largest n an sjb build reaches under the work budget: a 2.25 MB table.
