@@ -233,6 +233,29 @@ def test_orthogonality_failure_witness():
     assert bad.witness["chain_a"] == 0 and bad.witness["chain_b"] == 1
 
 
+def test_orthogonality_walks_pairs_in_order_and_stops_at_the_first(monkeypatch):
+    # Rank 1: A, B, A + B; rank 0: the empty set and twice it.
+    basis = JordanBasis(2, [JordanChain(2, 1, [Vector(2, {A: 1})]),
+                            JordanChain(2, 1, [Vector(2, {B: 1})]),
+                            JordanChain(2, 1, [Vector(2, {A: 1, B: 1})]),
+                            JordanChain(2, 0, [Vector(2, {E: 1})]),
+                            JordanChain(2, 0, [Vector(2, {E: 2})])])
+    dot, ranks = Vector.dot, []
+
+    def spy(self, other):
+        ranks.append(rank_of(self.support()[0]))
+        return dot(self, other)
+
+    monkeypatch.setattr(Vector, "dot", spy)
+    report = check_orthogonality(basis)
+    assert [c.witness for c in report.failures()] == [
+        {"rank": 0, "chain_a": 3, "position_a": 0, "chain_b": 4, "position_b": 0,
+         "inner_product": "2"},
+        {"rank": 1, "chain_a": 0, "position_a": 0, "chain_b": 2, "position_b": 0,
+         "inner_product": "1"}]
+    assert Counter(ranks) == {0: 1, 1: 2}
+
+
 def test_ratio_profile_hand_values():
     assert ratio_profile(chain_n2_long()).ratios == [Fraction(2), Fraction(2)]
     assert ratio_profile(chain_n2_short()).ratios == []
@@ -580,3 +603,26 @@ def test_stack_cap_admits_every_rank_up_to_n15():
     with pytest.raises(CapacityError, match="rank 7 stack of n=16"):
         check_stack_sizes(full_stacks(16))
     assert binomial(15, 7) ** 2 <= MAX_ITEMS < binomial(16, 7) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n + 1), st.integers(1, 3),
+                                   st.integers(1, 3)), max_size=8))))
+def test_stack_cap_refuses_the_first_rank_holding_four_vectors(drawn):
+    # Each drawn chain is (start rank, length, copies); a chain starting
+    # past rank n holds no vector of any rank 0..n.
+    n, shapes = drawn
+    basis = JordanBasis(n, [JordanChain(n, k, [Vector(n, {})] * length)
+                            for k, length, copies in shapes for _ in range(copies)])
+    counts = [len(basis.vectors_of_rank(r)) for r in range(n + 1)]
+    over = next((r for r, count in enumerate(counts) if count >= 4), None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sjb.lattice.MAX_ITEMS", 15)  # refuses 4 vectors: 16 entries
+        if over is None:
+            check_stack_sizes(basis)
+        else:
+            with pytest.raises(CapacityError) as refused:
+                check_stack_sizes(basis)
+            assert str(refused.value) == (f"rank {over} stack of n={n} has "
+                                          f"{counts[over] ** 2} entries, over the cap of 15")
