@@ -12,6 +12,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .elimination import exact_rank, ndarray
 from .jordan import JordanBasis, JordanChain
@@ -110,12 +111,17 @@ def verify_sjc(chain: JordanChain) -> VerificationReport:
     return report
 
 
-def _check_start_ranks(report: VerificationReport, n: int, start_ranks) -> None:
+def _check_start_ranks(report: VerificationReport, n: int, starts: Counter) -> None:
     """Add start_rank_counts: each rank k starts chains_starting(n, k) chains."""
-    starts = Counter(start_ranks)
     bad = next(({"start_rank": k, "got": starts[k], "expected": chains_starting(n, k)}
                 for k in range(n + 1) if starts[k] != chains_starting(n, k)), None)
     report.add("start_rank_counts", bad is None, bad)
+
+
+def _rank_counts(n: int, shapes) -> list[int]:
+    """The vectors at each rank 0..n of chains given as (start_rank, length)."""
+    at_rank = Counter(r for k, length in shapes for r in range(k, k + length))
+    return [at_rank[r] for r in range(n + 1)]
 
 
 def _rank_matrix(basis: JordanBasis, r: int) -> ndarray | None:
@@ -140,8 +146,8 @@ def check_stack_sizes(basis: JordanBasis) -> None:
     """Raise CapacityError if the vectors of a rank are too many to rank as a
     square matrix or to take every inner product of: a document may repeat
     vectors, so every rank counts, not only those holding C(n, r) vectors."""
-    for r in range(basis.n + 1):
-        count = len(basis.vectors_of_rank(r))
+    shapes = ((ch.start_rank, ch.length) for ch in basis.chains)
+    for r, count in enumerate(_rank_counts(basis.n, shapes)):
         check_items(count * count, "entries", f"rank {r} stack of n={basis.n}")
 
 
@@ -174,12 +180,11 @@ def _basis_report(n: int, shapes: list[tuple[int, int]], bad_chain: dict | None,
     total = sum(length for _, length in shapes)
     report.add("total_count", total == 2 ** n, {"got": total, "expected": 2 ** n})
 
-    at_rank = Counter(r for k, length in shapes for r in range(k, k + length))
-    counts = [at_rank[r] for r in range(n + 1)]
+    counts = _rank_counts(n, shapes)
     bad_rank = next(({"rank": r, "got": got, "expected": binomial(n, r)}
                      for r, got in enumerate(counts) if got != binomial(n, r)), None)
     report.add("rank_counts", bad_rank is None, bad_rank)
-    _check_start_ranks(report, n, (k for k, _ in shapes))
+    _check_start_ranks(report, n, Counter(k for k, _ in shapes))
     if basis is None:
         return report
     for r, count in enumerate(counts):
@@ -246,19 +251,11 @@ def check_orthogonality(basis: JordanBasis) -> VerificationReport:
     check_stack_sizes(basis)
     report = VerificationReport(f"orthogonality n={basis.n}")
     for r in range(basis.n + 1):
-        vecs = basis.vectors_of_rank(r)
-        witness = None
-        for i in range(len(vecs)):
-            ci, pi, vi = vecs[i]
-            for j in range(i + 1, len(vecs)):
-                cj, pj, vj = vecs[j]
-                ip = vi.dot(vj)
-                if ip != 0:
-                    witness = {"rank": r, "chain_a": ci, "position_a": pi,
-                               "chain_b": cj, "position_b": pj, "inner_product": str(ip)}
-                    break
-            if witness:
-                break
+        pairs = combinations(basis.vectors_of_rank(r), 2)
+        witness = next(({"rank": r, "chain_a": ci, "position_a": pi,
+                         "chain_b": cj, "position_b": pj, "inner_product": str(ip)}
+                        for (ci, pi, vi), (cj, pj, vj) in pairs
+                        if (ip := vi.dot(vj)) != 0), None)
         report.add(f"orthogonal[r={r}]", witness is None, witness)
     return report
 
@@ -371,7 +368,7 @@ def verify_scd(decomp: ChainDecomposition) -> VerificationReport:
                {"got": count, "expected": size, **(outside or {})})
     report.add("saturated", bad_sat is None, bad_sat)
     report.add("symmetric", bad_sym is None, bad_sym)
-    _check_start_ranks(report, n, starts.elements())
+    _check_start_ranks(report, n, starts)
     return report
 
 
