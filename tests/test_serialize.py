@@ -877,6 +877,68 @@ def test_fault_in_canonical_text_keeps_its_message(edit, message):
     assert str(streamed(text)) == str(oracle(text)) == message
 
 
+# Edits of the text at the writer's separators: _TERM_SEP between two terms
+# and _COEFF_SEP between a term's subset and its coefficient.
+_TERM_SEP = '"\n          },\n          {\n            "subset": '
+_COEFF_SEP = ',\n            "coeff": "'
+
+
+def swap_separators(text, at):
+    """The first term separator and the coefficient separator after it, swapped."""
+    i = text.index(_TERM_SEP, at)
+    j = text.index(_COEFF_SEP, i)
+    return (text[:i] + _COEFF_SEP + text[i + len(_TERM_SEP):j] + _TERM_SEP
+            + text[j + len(_COEFF_SEP):])
+
+
+def drop_coeff(text, at):
+    i = text.index(_COEFF_SEP, at)
+    return text[:i] + text[text.index('"', i + len(_COEFF_SEP)) + 1:]
+
+
+def repeat_coeff(text, at):
+    """The first term's "coeff" key followed by a second one, whose value json.loads keeps."""
+    j = text.index('"', text.index(_COEFF_SEP, at) + len(_COEFF_SEP)) + 1
+    return text[:j] + _COEFF_SEP + '7"' + text[j:]
+
+
+def respace_subset(respace):
+    def edit(text, at):
+        i = text.index("[", text.index('"subset": ', at))
+        j = text.index("]", i) + 1
+        return text[:i] + respace(text[i:j]) + text[j:]
+    return edit
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1 << 20])
+@pytest.mark.parametrize("edit, want", [
+    (swap_separators, "not valid JSON: Invalid control character"),
+    (drop_coeff, "chain 2 vector 1: term must have subset and coeff"),
+    (repeat_coeff, "a basis"),
+    (respace_subset(lambda s: s.replace(",", ",\t", 1)), "the basis"),
+    (respace_subset(lambda s: json.dumps(json.loads(s), separators=(",", ":"))), "the basis"),
+], ids=["swapped-separators", "no-coeff", "repeated-coeff", "tab-in-subset",
+        "compact-subset"])
+def test_edits_at_the_writer_separators_match_oracle(tmp_path, monkeypatch, block, edit,
+                                                     want):
+    # Each edit is made at the first term of chain 2's vector 1, which holds six.
+    monkeypatch.setattr(serialize_module, "_BLOCK", block)
+    basis = build_sjb(4)
+    text = serialize(basis).decode()
+    chain2 = [m.start() for m in re.finditer('"start_rank"', text)][2]
+    text = edit(text, text.index("\n        ],\n        [\n", chain2))
+    expected = oracle(text)
+    if isinstance(expected, DocumentError):
+        assert str(expected).startswith(want)
+    else:
+        assert (expected == basis) == (want == "the basis")
+    path = tmp_path / "edited.json"
+    path.write_text(text)
+    for got in (streamed(text), streamed(text.encode()), load_or_error(path)):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected) if isinstance(expected, DocumentError) else got == expected
+
+
 def test_unterminated_canonical_chain_fails_in_linear_time(monkeypatch):
     # A chain head, then 8 MB of terms and no end marker: the search for the
     # end reads on to the end of the file, doubling its buffer at each refill.
