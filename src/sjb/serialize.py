@@ -266,10 +266,10 @@ _CHAIN_HEAD = re.compile(r'\{\n      "start_rank": (0|[1-9][0-9]?),\n'
                          r'      "vectors": \[\n        \[\n')
 _VECTOR_SEP = "\n        ],\n        [\n"
 _CHAIN_END = re.compile(r"\n        \]\n      \]\n    \}[ \t\n\r,:\]}]")
-# Subsets are digits, spaces, newlines and commas: no match scans past a term.
-_TERM = re.compile(re.escape(_TERM_OPEN) + r"(\[[0-9 \n,]*\])" + re.escape(_COEFF_OPEN)
-                   + r"(-?[0-9]+)" + re.escape(_TERM_CLOSE) + r"(?:,\n|\Z)")
-_TERM_FIXED = len(_TERM_OPEN + _COEFF_OPEN + _TERM_CLOSE + ",\n")
+# A vector is _TERM_OPEN, its terms joined by _TERM_SEP, then _TERM_CLOSE; a term is
+# its subset, _COEFF_OPEN and its coefficient.  Pieces that parse, joined so, are JSON
+# of the same value, and hold no separator: each has a newline and a quote.
+_TERM_SEP = _TERM_CLOSE + ",\n" + _TERM_OPEN
 
 
 class _Utf8:
@@ -396,26 +396,28 @@ class _Reader:
             if not self._fill():
                 return None
         _trim(self.masks, self.coeffs)
-        # Each vector's text, buf[start:cut], is matched in place, not copied.
         buf, vectors, start, stop = self.buf, [], self.pos + body, end.start()
         try:
             while start <= stop:
                 cut = buf.find(_VECTOR_SEP, start, stop)
                 cut = stop if cut < 0 else cut
-                subsets, coeff_texts = zip(*_TERM.findall(buf, start, cut))
+                if not (buf.startswith(_TERM_OPEN, start, cut)
+                        and buf.endswith(_TERM_CLOSE, start, cut)):
+                    return None
+                # A term without _COEFF_OPEN has the coefficient "", which fails.
+                subsets, _, coeff_texts = zip(*[t.partition(_COEFF_OPEN) for t in buf[
+                    start + len(_TERM_OPEN):cut - len(_TERM_CLOSE)].split(_TERM_SEP)])
                 for t in set(subsets).difference(self.masks):
                     self.masks[t] = _parse_subset(json.loads(t), n)
                 for t in set(coeff_texts).difference(self.coeffs):
                     self.coeffs[t] = _parse_coeff(t)
                 terms = dict(zip(map(self.masks.get, subsets),
                                  map(self.coeffs.get, coeff_texts)))
-                # Matches never overlap: if their lengths add up, they tile the text.
-                if len(terms) != len(subsets) or cut - start != len(
-                        "".join(subsets + coeff_texts)) + len(subsets) * _TERM_FIXED - 2:
+                if len(terms) != len(subsets):  # a repeated subset
                     return None
                 vectors.append(Vector._from_terms(n, terms))
                 start = cut + len(_VECTOR_SEP)
-        except (ValueError, RecursionError):  # no terms, a failed check, not JSON
+        except (ValueError, RecursionError):  # a failed check, not JSON
             return None
         self.canonical, self.pos = True, end.end() - 1
         return JordanChain(n, start_rank, vectors)

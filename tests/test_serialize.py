@@ -939,6 +939,13 @@ def test_edits_at_the_writer_separators_match_oracle(tmp_path, monkeypatch, bloc
         assert str(got) == str(expected) if isinstance(expected, DocumentError) else got == expected
 
 
+def test_subsets_in_any_json_whitespace_skip_the_decoder(monkeypatch):
+    decoded = sjb_chains_decoded(monkeypatch)
+    basis = build_sjb(5)
+    text = serialize(basis).decode().replace(",\n              ", ",\t")
+    assert "\t" in text and deserialize(text) == basis and decoded == []
+
+
 def test_unterminated_canonical_chain_fails_in_linear_time(monkeypatch):
     # A chain head, then 8 MB of terms and no end marker: the search for the
     # end reads on to the end of the file, doubling its buffer at each refill.
