@@ -266,9 +266,8 @@ _CHAIN_HEAD = re.compile(r'\{\n      "start_rank": (0|[1-9][0-9]?),\n'
                          r'      "vectors": \[\n        \[\n')
 _VECTOR_SEP = "\n        ],\n        [\n"
 _CHAIN_END = re.compile(r"\n        \]\n      \]\n    \}[ \t\n\r,:\]}]")
-# A vector is _TERM_OPEN, its terms joined by _TERM_SEP, then _TERM_CLOSE; a term is
-# its subset, _COEFF_OPEN and its coefficient.  Pieces that parse, joined so, are JSON
-# of the same value, and hold no separator: each has a newline and a quote.
+# Vector: _TERM_OPEN, terms joined by _TERM_SEP, _TERM_CLOSE.  Term: subset, _COEFF_OPEN, coeff.
+# Each separator has a newline and a quote, which no piece that parses can hold.
 _TERM_SEP = _TERM_CLOSE + ",\n" + _TERM_OPEN
 
 
@@ -400,13 +399,12 @@ class _Reader:
         try:
             while start <= stop:
                 cut = buf.find(_VECTOR_SEP, start, stop)
-                cut = stop if cut < 0 else cut
-                if not (buf.startswith(_TERM_OPEN, start, cut)
-                        and buf.endswith(_TERM_CLOSE, start, cut)):
+                text = buf[start:stop if cut < 0 else cut]
+                if not (text.startswith(_TERM_OPEN) and text.endswith(_TERM_CLOSE)):
                     return None
                 # A term without _COEFF_OPEN has the coefficient "", which fails.
-                subsets, _, coeff_texts = zip(*[t.partition(_COEFF_OPEN) for t in buf[
-                    start + len(_TERM_OPEN):cut - len(_TERM_CLOSE)].split(_TERM_SEP)])
+                subsets, _, coeff_texts = zip(*[t.partition(_COEFF_OPEN) for t in text[
+                    len(_TERM_OPEN):-len(_TERM_CLOSE)].split(_TERM_SEP)])
                 for t in set(subsets).difference(self.masks):
                     self.masks[t] = _parse_subset(json.loads(t), n)
                 for t in set(coeff_texts).difference(self.coeffs):
@@ -416,7 +414,7 @@ class _Reader:
                 if len(terms) != len(subsets):  # a repeated subset
                     return None
                 vectors.append(Vector._from_terms(n, terms))
-                start = cut + len(_VECTOR_SEP)
+                start += len(text) + len(_VECTOR_SEP)
         except (ValueError, RecursionError):  # a failed check, not JSON
             return None
         self.canonical, self.pos = True, end.end() - 1
@@ -468,13 +466,11 @@ def _checked(fh, raw=contextlib.nullcontext()):
     with raw:
         try:
             yield from _walk(fh)
-        except DocumentError:
-            raise
         except (ValueError, RecursionError) as exc:
-            # These come from the text itself: bytes that are not UTF-8, an
-            # integer past the digit limit (sys.get_int_max_str_digits), or
-            # values nested deeper than the JSON decoders recurse.
-            raise DocumentError(str(exc)) from None
+            # Other than a DocumentError, these come from the text itself: bytes that
+            # are not UTF-8, an integer past the digit limit (sys.get_int_max_str_digits),
+            # or values nested deeper than the JSON decoders recurse.
+            raise exc if isinstance(exc, DocumentError) else DocumentError(str(exc)) from None
 
 
 def _read(fh) -> Serializable:
@@ -489,9 +485,7 @@ class _Whole(list):
 
 
 def deserialize(data: bytes | str) -> Serializable:
-    if isinstance(data, bytes):
-        return _read(_Utf8(io.BytesIO(data)))
-    return _read(_Whole([data]))
+    return _read(_Utf8(io.BytesIO(data)) if isinstance(data, bytes) else _Whole([data]))
 
 
 def save(obj: Serializable, path) -> None:
@@ -502,14 +496,17 @@ def save(obj: Serializable, path) -> None:
     """
     pieces = _pieces(obj)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="ascii", newline="")
     try:
-        with fh:
-            fh.writelines(pieces)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", encoding="ascii", newline="")
+        try:
+            with fh:
+                fh.writelines(pieces)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # named by path: tmp's name holds the pid
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) if exc.filename == tmp else exc
 
 
 def read_chains(path):

@@ -72,6 +72,24 @@ def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("target, message", [
+    ("missing/x.json", "[Errno 2] No such file or directory: '{}'"),
+    ("d.json", "[Errno 21] Is a directory: '{}'"),
+], ids=["missing-directory", "directory-target"])
+def test_unwritable_out_names_the_target_whatever_the_pid(tmp_path, monkeypatch, capsys,
+                                                          target, message):
+    # save writes beside the target first, to a file named by the process id.
+    (tmp_path / "d.json").mkdir()
+    out = str(tmp_path / target)
+    errs = []
+    for pid in (1234, 5678):
+        monkeypatch.setattr(os, "getpid", lambda: pid)
+        assert main(["build", "--n", "3", "--out", out]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == f"error: {message.format(out)}\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.json"] and not os.listdir(tmp_path / "d.json")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["build", "--n", "2"]) == 2  # missing --out
