@@ -266,8 +266,8 @@ _CHAIN_HEAD = re.compile(r'\{\n      "start_rank": (0|[1-9][0-9]?),\n'
                          r'      "vectors": \[\n        \[\n')
 _VECTOR_SEP = "\n        ],\n        [\n"
 _CHAIN_END = re.compile(r"\n        \]\n      \]\n    \}[ \t\n\r,:\]}]")
-# Vector: _TERM_OPEN, terms joined by _TERM_SEP, _TERM_CLOSE.  Term: subset, _COEFF_OPEN, coeff.
-# Each separator has a newline and a quote, which no piece that parses can hold.
+# Vector: _TERM_OPEN, terms joined by _TERM_SEP, _TERM_CLOSE.  Term: subset, _COEFF_OPEN, coeff
+# (else "", refused).  A separator has a newline and a quote: no piece that parses holds one.
 _TERM_SEP = _TERM_CLOSE + ",\n" + _TERM_OPEN
 
 
@@ -402,7 +402,6 @@ class _Reader:
                 text = buf[start:stop if cut < 0 else cut]
                 if not (text.startswith(_TERM_OPEN) and text.endswith(_TERM_CLOSE)):
                     return None
-                # A term without _COEFF_OPEN has the coefficient "", which fails.
                 subsets, _, coeff_texts = zip(*[t.partition(_COEFF_OPEN) for t in text[
                     len(_TERM_OPEN):-len(_TERM_CLOSE)].split(_TERM_SEP)])
                 for t in set(subsets).difference(self.masks):
@@ -505,8 +504,9 @@ def save(obj: Serializable, path) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
-    except OSError as exc:  # named by path: tmp's name holds the pid
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) if exc.filename == tmp else exc
+    except OSError as exc:  # named by path, as tmp's name holds the pid, unless tmp is in the way
+        raise (exc if exc.filename != tmp or isinstance(exc, FileExistsError)
+               else OSError(exc.errno, exc.strerror, os.fspath(path)))
 
 
 def read_chains(path):

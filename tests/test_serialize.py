@@ -790,6 +790,17 @@ def test_save_failure_leaves_target_untouched(tmp_path):
     assert path.read_bytes() == serialize(build_sjb(2))
 
 
+def test_stale_temporary_file_is_named_and_kept(tmp_path, monkeypatch):
+    # A file left at the temporary name by a killed process of the same pid.
+    monkeypatch.setattr(os, "getpid", lambda: 4321)
+    path = tmp_path / "doc.json"
+    stale = tmp_path / "doc.json.4321.tmp"
+    stale.write_text("stale")
+    with pytest.raises(FileExistsError, match="doc.json.4321.tmp"):
+        save(build_sjb(2), path)
+    assert os.listdir(tmp_path) == [stale.name] and stale.read_text() == "stale"
+
+
 # Chains in the writer's layout are read from their text; any other chain is
 # decoded and checked as before, with the same errors.
 
@@ -902,6 +913,14 @@ def repeat_coeff(text, at):
     return text[:j] + _COEFF_SEP + '7"' + text[j:]
 
 
+def swap_bracket(find):
+    """The brace that opens vector 1's first term, or closes its last, as a bracket."""
+    def edit(text, at):
+        i = find(text, at)
+        return text[:i] + {"{": "[", "}": "]"}[text[i]] + text[i + 1:]
+    return edit
+
+
 def respace_subset(respace):
     def edit(text, at):
         i = text.index("[", text.index('"subset": ', at))
@@ -915,10 +934,13 @@ def respace_subset(respace):
     (swap_separators, "not valid JSON: Invalid control character"),
     (drop_coeff, "chain 2 vector 1: term must have subset and coeff"),
     (repeat_coeff, "a basis"),
+    (swap_bracket(lambda text, at: text.index("{", at)), "not valid JSON: Expecting ','"),
+    (swap_bracket(lambda text, at: text.index("\n        ],", at + 1) - 1),
+     "not valid JSON: Expecting ','"),
     (respace_subset(lambda s: s.replace(",", ",\t", 1)), "the basis"),
     (respace_subset(lambda s: json.dumps(json.loads(s), separators=(",", ":"))), "the basis"),
-], ids=["swapped-separators", "no-coeff", "repeated-coeff", "tab-in-subset",
-        "compact-subset"])
+], ids=["swapped-separators", "no-coeff", "repeated-coeff", "term-opened-by-bracket",
+        "term-closed-by-bracket", "tab-in-subset", "compact-subset"])
 def test_edits_at_the_writer_separators_match_oracle(tmp_path, monkeypatch, block, edit,
                                                      want):
     # Each edit is made at the first term of chain 2's vector 1, which holds six.
