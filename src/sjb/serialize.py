@@ -267,7 +267,7 @@ _CHAIN_HEAD = re.compile(r'\{\n      "start_rank": (0|[1-9][0-9]?),\n'
 _VECTOR_SEP = "\n        ],\n        [\n"
 _CHAIN_END = re.compile(r"\n        \]\n      \]\n    \}[ \t\n\r,:\]}]")
 # Vector: _TERM_OPEN, terms joined by _TERM_SEP, _TERM_CLOSE.  Term: subset, _COEFF_OPEN, coeff
-# (else "", refused).  A separator has a newline and a quote: no piece that parses holds one.
+# ("" if _COEFF_OPEN is missing).  A separator has a newline and a quote; no valid piece has.
 _TERM_SEP = _TERM_CLOSE + ",\n" + _TERM_OPEN
 
 
