@@ -13,10 +13,10 @@ import sys
 from collections import Counter
 
 from .jordan import JordanBasis, sjb_chains
-from .lattice import CapacityError, binomial, chains_starting, check_ground_size
+from .lattice import binomial, chains_starting, check_ground_size
 from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, scd_chains
-from .serialize import DocumentError, export_up_matrix_csv, read_chains, save
+from .serialize import export_up_matrix_csv, read_chains, save
 from .verify import (SJB_CHECKS, compare_profiles, profile_groups, ratio_profile,
                      ratio_uniformity, unimodality_report, up_rank_check, verify_chains,
                      verify_scd)
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (CapacityError, DocumentError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _error(exc)
     except (ImportError, MemoryError) as exc:  # numpy's ImportError names its cause
         return _error(exc.__cause__ or str(exc) or "out of memory")

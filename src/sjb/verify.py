@@ -19,7 +19,6 @@ from .jordan import JordanBasis, JordanChain
 from .lattice import binomial, chains_starting, check_items, subsets_of_rank
 from .operators import up, up_matrix
 from .scd import ChainDecomposition
-from .vectors import NotHomogeneousError, homogeneous_rank
 
 
 class InvalidChainError(ValueError):
@@ -88,15 +87,8 @@ def verify_sjc(chain: JordanChain) -> VerificationReport:
     bad = next((i for i, v in enumerate(chain.vectors) if v.is_zero), None)
     report.add("vectors_nonzero", bad is None, {"position": bad})
 
-    bad_h = None
-    for i, v in enumerate(chain.vectors):
-        try:
-            r = homogeneous_rank(v)
-        except NotHomogeneousError:
-            r = None
-        if r != k + i:
-            bad_h = {"position": i, "expected_rank": k + i}
-            break
+    bad_h = next(({"position": i, "expected_rank": k + i} for i, v in enumerate(chain.vectors)
+                  if set(map(int.bit_count, v._terms)) != {k + i}), None)
     report.add("vectors_homogeneous", bad_h is None, bad_h)
 
     bad_link = next(({"position": i} for i in range(chain.length - 1)
@@ -242,16 +234,22 @@ def verify_sjb(basis: JordanBasis, check_full_rank: bool = True) -> Verification
 
 
 def check_orthogonality(basis: JordanBasis) -> VerificationReport:
-    """All distinct basis vectors of equal rank have inner product zero.
+    """All distinct basis vectors have inner product zero.
 
-    Vectors of different ranks have disjoint supports, so cross-rank
-    pairs are zero structurally and are not recomputed.  Raises
-    CapacityError, before any inner product, past the work budget.
+    Vectors with a nonzero inner product share a subset, so each rank r
+    pairs, in (chain, position) order, the vectors holding a term of rank r.
+    Raises CapacityError, before any inner product, past the work budget.
     """
-    check_stack_sizes(basis)
-    report = VerificationReport(f"orthogonality n={basis.n}")
-    for r in range(basis.n + 1):
-        pairs = combinations(basis.vectors_of_rank(r), 2)
+    n, groups = basis.n, [[] for _ in range(basis.n + 1)]
+    for ci, ch in enumerate(basis.chains):
+        for pi, v in enumerate(ch.vectors):
+            for r in set(map(int.bit_count, v._terms)):
+                groups[r].append((ci, pi, v))
+    for r, group in enumerate(groups):
+        check_items(len(group) ** 2, "entries", f"rank {r} stack of n={n}")
+    report = VerificationReport(f"orthogonality n={n}")
+    for r, group in enumerate(groups):
+        pairs = combinations(group, 2)
         witness = next(({"rank": r, "chain_a": ci, "position_a": pi,
                          "chain_b": cj, "position_b": pj, "inner_product": str(ip)}
                         for (ci, pi, vi), (cj, pj, vj) in pairs

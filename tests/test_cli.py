@@ -500,6 +500,27 @@ def test_forged_under_cap_rank_still_gets_pairwise_check(forged_singletons, caps
     assert "PASS orthogonal[r=2]\n" in capsys.readouterr().out
 
 
+# Each vector holds {1}: in one chain, and in two chains starting at ranks 0 and 1.
+MIXED_RANK_PAIR = [{"start_rank": 0, "vectors": [[{"subset": [], "coeff": "1"},
+                                                  {"subset": [1], "coeff": "1"}],
+                                                 [{"subset": [1], "coeff": "1"}]]}]
+SPLIT_PAIR = [{"start_rank": 0, "vectors": [[{"subset": [1], "coeff": "1"}]]},
+              {"start_rank": 1, "vectors": [[{"subset": [1], "coeff": "1"}]]}]
+
+
+@pytest.mark.parametrize("chains, chain_b, position_b",
+                         [(MIXED_RANK_PAIR, 0, 1), (SPLIT_PAIR, 1, 0)])
+def test_verify_ortho_pairs_vectors_by_their_terms(tmp_path, capsys, chains, chain_b,
+                                                   position_b):
+    out = tmp_path / "b.json"
+    out.write_text(json.dumps({"format_version": "1", "kind": "sjb", "n": 1,
+                               "chains": chains}))
+    assert main(["verify", str(out), "--checks", "ortho"]) == 1
+    witness = {"rank": 1, "chain_a": 0, "position_a": 0, "chain_b": chain_b,
+               "position_b": position_b, "inner_product": "1"}
+    assert f"FAIL orthogonal[r=1]  witness={witness}\n" in capsys.readouterr().out
+
+
 def test_verify_off_rank_term_exits_1(tmp_path, capsys):
     # Right counts, but chain 0's first vector holds {1} at rank 0.
     doc = json.loads(serialize(build_sjb(2)))

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from sjb.jordan import basis_terms, build_sjb, sjb_chains
-from sjb.lattice import MAX_ITEMS, CapacityError, binomial, grow
+from sjb.lattice import MAX_ITEMS, CapacityError, binomial, grow, subsets_of_rank
 from sjb.operators import embed, lift, up
 from sjb.serialize import serialize
 from sjb.vectors import Vector
@@ -100,6 +100,46 @@ def test_extension_endpoints():
                 (_, zs), = rest
                 assert zs[-1] == lift(ch.vectors[-2]) - embed(top, n + 1)
                 assert up(zs[-1]).is_zero
+
+
+def words(n):
+    """The y/z word of each chain over {1..n} with its lengths after 0..n
+    letters, in build order: y before z, and z only from two or more members."""
+    def walk(word, lengths):
+        if len(word) == n:
+            yield word, lengths
+            return
+        yield from walk(word + "y", lengths + [lengths[-1] + 1])
+        if lengths[-1] >= 2:
+            yield from walk(word + "z", lengths + [lengths[-1] - 1])
+    return walk("", [1])
+
+
+def closed_form(word, lengths, p, mask):
+    """The coefficient of `mask` at position p, one factor per element from
+    n down to 1; 0 once a position leaves its parent's range."""
+    coeff = 1
+    for e in range(len(word), 0, -1):
+        present, length = mask >> (e - 1) & 1, lengths[e]
+        if word[e - 1] == "y" and present:
+            coeff, p = coeff * p, p - 1
+        elif word[e - 1] == "z":
+            coeff, p = (coeff * (length - p), p) if present else (-coeff, p + 1)
+        if not 0 <= p < lengths[e - 1]:
+            return 0
+    return coeff
+
+
+def test_every_term_is_the_product_read_off_its_word():
+    # The paper's recursion in closed form: y gives p when the element is
+    # present and 1 when absent, z gives L - p and -1.
+    for n in range(10):
+        for (word, lengths), ch in zip(words(n), sjb_chains(n), strict=True):
+            assert ch.length == lengths[-1]
+            for p, v in enumerate(ch.vectors):
+                want = {s: c for s in subsets_of_rank(n, ch.start_rank + p)
+                        if (c := closed_form(word, lengths, p, s))}
+                assert dict(v.items()) == want
 
 
 # sha256 of serialize(build_sjb(n)), recorded from the level-by-level build.

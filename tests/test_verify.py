@@ -4,6 +4,7 @@ import dataclasses
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,21 @@ def test_orthogonality_walks_pairs_in_order_and_stops_at_the_first(monkeypatch):
         {"rank": 1, "chain_a": 0, "position_a": 0, "chain_b": 2, "position_b": 0,
          "inner_product": "1"}]
     assert Counter(ranks) == {0: 1, 1: 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(
+    st.integers(0, n), st.lists(st.dictionaries(st.integers(0, 2 ** n - 1),
+                                                st.sampled_from([-2, -1, 1, 2]), max_size=3),
+                                min_size=1, max_size=3)), min_size=1, max_size=4))))
+def test_orthogonality_matches_every_pair(drawn):
+    # Vectors of any ranks at any place: the verdict is that of all pairs.
+    n, shapes = drawn
+    basis = JordanBasis(n, [JordanChain(n, k, [Vector(n, t) for t in terms])
+                            for k, terms in shapes])
+    vectors = [v for ch in basis.chains for v in ch.vectors]
+    assert check_orthogonality(basis).overall == all(
+        u.dot(v) == 0 for u, v in combinations(vectors, 2))
 
 
 def test_ratio_profile_hand_values():
@@ -592,6 +608,23 @@ def test_stack_cap_counts_every_rank():
         check_stack_sizes(basis)
     with pytest.raises(CapacityError, match="rank 1 stack"):
         check_orthogonality(basis)
+
+
+def test_orthogonality_caps_the_vectors_holding_a_term_of_each_rank(monkeypatch):
+    # Placed at ranks 1 and 2, 4,097 and 4,096 vectors: each stack is under
+    # the cap, but all 8,193 hold the empty set.
+    basis = JordanBasis(14, [JordanChain(14, 1, [Vector(14, {E: 1, A: 1})])] * 4097
+                        + [JordanChain(14, 2, [Vector(14, {E: 1, AB: 1})])] * 4096)
+    check_stack_sizes(basis)
+
+    def no_dot(*args):
+        raise AssertionError("took an inner product in an over-cap rank")
+
+    monkeypatch.setattr(Vector, "dot", no_dot)
+    with pytest.raises(CapacityError) as refused:
+        check_orthogonality(basis)
+    assert str(refused.value) == ("rank 0 stack of n=14 has 67125249 entries, "
+                                  "over the cap of 67108864")
 
 
 def test_stack_cap_admits_every_rank_up_to_n15():
