@@ -4,8 +4,13 @@ up sends a subset to the sum of the subsets covering it; down is its
 adjoint under the standard inner product.  lift adjoins the new top
 element n+1 to every subset, mapping vectors over {1..n} into the
 "contains n+1" half of the space over {1..n+1}.  Both operators work by
-direct sparse expansion, up from a table of covers for n <= TABLE_MAX_N;
-the dense matrix form exists only for rank checks and export.
+direct sparse expansion, up from a table of covers for n <= TABLE_MAX_N.
+
+The dense 0/1 inclusion matrices exist only for export and rank checks,
+and one builder makes both: up's (one more element), and B(n-1)'s two-step
+W (two more elements), whose rank gives up's once B(n) is split by its top
+element n as lift adjoins it (verify.up_rank_check).  The work budget
+counts up's own entries either way.
 """
 
 from __future__ import annotations
@@ -103,25 +108,34 @@ class UpMatrix:
 
 
 def check_up_matrix_size(n: int, k: int) -> None:
-    """Raise CapacityError if the rank-k up matrix of B(n) is over the budget."""
+    """Raise ValueError if B(n) has no up from rank k, and CapacityError if
+    that up's matrix is over the budget."""
+    if not 0 <= k < n:
+        raise ValueError(f"rank must be in 0..{n - 1}, got {k}")
     check_items(binomial(n, k + 1) * binomial(n, k), "entries", f"up matrix for n={n}, k={k}")
 
 
 def up_matrix(n: int, k: int) -> UpMatrix:
     """Matrix of up from rank k to rank k+1 of B(n)."""
-    if not 0 <= k < n:
-        raise ValueError(f"rank must be in 0..{n - 1}, got {k}")
     check_up_matrix_size(n, k)
+    return UpMatrix(n, k, *_inclusions(n, k, 1))
+
+
+def _inclusions(n: int, k: int, d: int) -> tuple[list[int], list[int], ndarray]:
+    """The masks of ranks k+d and k of B(n), ascending, and the int8 0/1 matrix
+    whose entry is 1 where the column's subset lies inside the row's.  A rank
+    outside 0..n has no subsets, so its side of the matrix is empty."""
     import numpy as np  # loaded on the first matrix made, not with the package
 
-    col_basis = subsets_of_rank(n, k)
-    row_basis = subsets_of_rank(n, k + 1)
-    # Every (column, bit) pair whose bit the column's mask lacks is one cover;
-    # masks fit int64 since n <= 63.
+    def ranked(r: int) -> list[int]:
+        return subsets_of_rank(n, r) if 0 <= r <= n else []
+
+    col_basis, row_basis = ranked(k), ranked(k + d)
+    # Every (column, d-subset) pair disjoint from the column's mask is one
+    # superset; masks fit int64 since n <= 63.
     masks = np.array(col_basis, dtype=np.int64)
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    cols, b = ((masks[:, None] & bits) == 0).nonzero()
-    covers = masks[cols] | bits[b]
+    adds = np.array(ranked(d), dtype=np.int64)
+    cols, a = ((masks[:, None] & adds) == 0).nonzero()
     matrix = np.zeros((len(row_basis), len(col_basis)), dtype=np.int8)
-    matrix[np.searchsorted(np.array(row_basis, dtype=np.int64), covers), cols] = 1
-    return UpMatrix(n, k, row_basis, col_basis, matrix)
+    matrix[np.searchsorted(np.array(row_basis, dtype=np.int64), masks[cols] | adds[a]), cols] = 1
+    return row_basis, col_basis, matrix

@@ -20,7 +20,7 @@ from sjb import elimination, verify
 from sjb.cli import main
 from sjb.elimination import P, _is_prime, _primes, _rank_mod_p, exact_rank
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
-from sjb.operators import up_matrix
+from sjb.operators import _inclusions, up_matrix
 from sjb.vectors import Vector
 from sjb.verify import _rank_matrix, up_rank_check
 
@@ -211,8 +211,9 @@ def test_residues_of_each_dtype_extreme_stay_exact(dtype):
 
 
 def test_up_rank_check_holds_about_five_bytes_a_dense_entry():
-    # An int8 up matrix (1 B) and int32 residues (4 B); int64 copies of both hold 16 B.
-    entries = 1716 * 1716
+    # up_rank_check(13, 6) ranks W over B(12), 792 x 792, not up's 1716 x 1716:
+    # an int8 W (1 B) and int32 residues (4 B); int64 copies of both hold 16 B.
+    entries = 792 * 792
     tracemalloc.start()
     try:
         assert up_rank_check(13, 6).injective
@@ -255,8 +256,8 @@ def test_exact_rank_matches_fraction_rank(mat):
 @settings(max_examples=300, deadline=None)
 @given(_matrices(_int64_entries))
 def test_exact_rank_of_strided_views(mat):
-    # up_rank_check ranks a transposed, column-reversed view; every view
-    # must be ranked as the matrix it shows, and left as it was.
+    # up_rank_check ranks a row-reversed view; every view must be ranked
+    # as the matrix it shows, and left as it was.
     a = np.array(mat, dtype=np.int64)
     for view in (a.T, a[::-1], a[:, ::-1]):
         assert exact_rank(view) == fraction_rank(mat)
@@ -269,17 +270,35 @@ def test_up_matrices_match_oracle():
             rows = up_matrix(n, k).rows
             rank = fraction_rank(rows)
             assert exact_rank(rows) == rank
-            # up_rank_check reorders up before ranking; the oracle ranks up itself.
+            # up_rank_check ranks W, not up; the oracle ranks up itself.
             assert up_rank_check(n, k).computed_rank == rank
 
 
-def test_up_rank_check_ranks_down_with_columns_reversed(monkeypatch):
+def test_up_rank_check_ranks_w_with_rows_descending(monkeypatch):
     # The order changes no verdict; losing it would show only as seconds lost.
     seen = []
     monkeypatch.setattr(verify, "exact_rank", lambda a: seen.append(a) or exact_rank(a))
-    for n, k in [(1, 0), (4, 1), (5, 2), (7, 3), (8, 4)]:
+    for n, k in [(1, 0), (4, 1), (5, 2), (7, 3), (8, 4), (8, 7)]:
         up_rank_check(n, k)
-        assert np.array_equal(seen.pop(), up_matrix(n, k).matrix.T[:, ::-1])
+        assert np.array_equal(seen.pop(), _inclusions(n - 1, k - 1, 2)[2][::-1])
+
+
+def test_up_rank_check_matches_ranking_up_itself():
+    # The split's oracle is the path it replaced: one elimination of up.
+    for n in range(1, 13):
+        for k in range(n):
+            assert up_rank_check(n, k).computed_rank == exact_rank(up_matrix(n, k).matrix)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_rank_makes_one_elimination_a_level(monkeypatch, capsys, n):
+    # k = 0 and k = n - 1 rank an empty W, so the call count is n at every n.
+    seen = []
+    monkeypatch.setattr(verify, "exact_rank", lambda a: seen.append(a.shape) or exact_rank(a))
+    assert main(["rank", "--n", str(n), "--jobs", "1"]) == 0
+    assert len(seen) == n
+    assert 0 in seen[0] and 0 in seen[-1]
+    capsys.readouterr()
 
 
 def test_basis_stacks_match_oracle():

@@ -235,6 +235,21 @@ def test_up_matrix_matches_covers_oracle(sizes):
         assert m.rows == _up_rows_by_covers(n, k)
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_two_step_inclusions(n):
+    # W's entries are containments, and W = U_{k+1} U_k / 2: each (k+2)-set
+    # covers a k-set through two (k+1)-sets.  A rank outside 0..n is empty.
+    for k in range(-1, n + 1):
+        rows, cols, w = operators._inclusions(n, k, 2)
+        assert w.dtype == np.int8 and w.shape == (len(rows), len(cols))
+        assert rows == (subsets_of_rank(n, k + 2) if k + 2 <= n else [])
+        assert cols == (subsets_of_rank(n, k) if k >= 0 else [])
+        assert w.tolist() == [[int(x & y == x) for x in cols] for y in rows]
+        if 0 <= k <= n - 2:
+            two_steps = up_matrix(n, k + 1).matrix.astype(int) @ up_matrix(n, k).matrix
+            assert np.array_equal(two_steps, 2 * w)
+
+
 def test_up_matrix_entries_are_containments():
     m = up_matrix(4, 1)
     for i, y in enumerate(m.row_basis):

@@ -364,6 +364,11 @@ def test_up_rank_contract_small_n():
 def test_up_rank_check_range_error():
     with pytest.raises(ValueError):
         up_rank_check(3, 3)
+    with pytest.raises(ValueError):
+        up_rank_check(3, -1)
+    # The budget counts up's entries, though only W is made.
+    with pytest.raises(CapacityError, match="up matrix for n=24, k=12 has"):
+        up_rank_check(24, 12)
 
 
 def test_unimodality_small():
