@@ -7,8 +7,7 @@ from .lattice import (CapacityError, binomial, covered_by, covers_of,
                       mask_to_elements, elements_to_mask, rank_of,
                       subset_str, subsets_of_rank)
 from .operators import UpMatrix, down, embed, lift, up, up_matrix
-from .scd import (ChainDecomposition, SubsetChain, build_scd,
-                  chain_length_profile, chain_length_sequence)
+from .scd import ChainDecomposition, SubsetChain, build_scd, chain_length_sequence
 from .serialize import (DocumentError, deserialize, export_up_matrix_csv,
                         from_document, load, save, serialize, to_document)
 from .vectors import (GroundSetMismatchError, NotHomogeneousError, Vector,
@@ -28,7 +27,7 @@ __all__ = [
     "up", "down", "lift", "embed", "up_matrix", "UpMatrix",
     "JordanChain", "JordanBasis", "build_sjb",
     "SubsetChain", "ChainDecomposition", "build_scd",
-    "chain_length_profile", "chain_length_sequence",
+    "chain_length_sequence",
     "exact_rank",
     "VerificationReport", "SjcReport", "Check", "RatioProfile", "UpRankResult",
     "verify_sjc", "verify_sjb", "verify_chains", "verify_scd", "check_orthogonality",

@@ -32,7 +32,7 @@ def _cover_table(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     if n not in _tables:
         masks = list(range(1 << n))  # indexing it shares one int object per mask
         _tables[n] = ([tuple(masks[c] for c in covers_of(m, n)) for m in masks],
-                      [[m for m in masks if m.bit_count() == r] for r in range(n + 1)])
+                      [[masks[m] for m in subsets_of_rank(n, r)] for r in range(n + 1)])
     return _tables[n]
 
 
@@ -96,15 +96,6 @@ class UpMatrix:
     row_basis: list[int]  # masks of rank k+1
     col_basis: list[int]  # masks of rank k
     matrix: ndarray  # int8, len(row_basis) x len(col_basis)
-
-    @property
-    def rows(self) -> list[list[int]]:
-        """The matrix as lists of Python ints."""
-        return self.matrix.tolist()
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.row_basis), len(self.col_basis)
 
 
 def check_up_matrix_size(n: int, k: int) -> None:

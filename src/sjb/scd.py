@@ -9,7 +9,6 @@ word trees, so the two length profiles agree position by position.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .lattice import check_ground_size, check_items, grow, rank_of
@@ -65,8 +64,3 @@ def chain_length_sequence(obj) -> list[tuple[int, int]]:
     Accepts either a ChainDecomposition or a JordanBasis.
     """
     return [(ch.start_rank, ch.length) for ch in obj.chains]
-
-
-def chain_length_profile(obj) -> Counter:
-    """Multiset of (start_rank, length) over all chains."""
-    return Counter(chain_length_sequence(obj))

@@ -487,19 +487,16 @@ def deserialize(data: bytes | str) -> Serializable:
     return _read(_Utf8(io.BytesIO(data)) if isinstance(data, bytes) else _Whole([data]))
 
 
-def save(obj: Serializable, path) -> None:
-    """Stream the canonical text to a file beside path, then move it onto path.
-
-    obj's chains may be any iterable, such as jordan.sjb_chains(n): each is
-    written as it comes.  If they fail midway, path is left as it was.
-    """
-    pieces = _pieces(obj)
+@contextlib.contextmanager
+def _replacing(path):
+    """A new text file beside path, moved onto path once the block is done;
+    if the block fails, the file is removed and path is left as it was."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "x", encoding="ascii", newline="")
         try:
             with fh:
-                fh.writelines(pieces)
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -507,6 +504,17 @@ def save(obj: Serializable, path) -> None:
     except OSError as exc:  # named by path, as tmp's name holds the pid, unless tmp is in the way
         raise (exc if exc.filename != tmp or isinstance(exc, FileExistsError)
                else OSError(exc.errno, exc.strerror, os.fspath(path)))
+
+
+def save(obj: Serializable, path) -> None:
+    """Stream the canonical text to a file beside path, then move it onto path.
+
+    obj's chains may be any iterable, such as jordan.sjb_chains(n): each is
+    written as it comes.  If they fail midway, path is left as it was.
+    """
+    pieces = _pieces(obj)
+    with _replacing(path) as fh:
+        fh.writelines(pieces)
 
 
 def read_chains(path):
@@ -530,9 +538,10 @@ def load(path) -> Serializable:
 
 
 def export_up_matrix_csv(n: int, k: int, path) -> None:
-    """0/1 matrix of up at rank k, with subset-labelled header row and column."""
+    """0/1 matrix of up at rank k, with subset-labelled header row and column,
+    written as save() writes: if the writing fails, path is left as it was."""
     m = up_matrix(n, k)
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([""] + [subset_str(s) for s in m.col_basis])
         # One row's list at a time: the whole matrix as lists would double it.

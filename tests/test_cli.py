@@ -814,12 +814,27 @@ def test_numpy_loads_only_where_a_rank_is_taken(probe_docs, argv, loads_numpy):
 def _run_child(code, *argv, **env):
     """Runs python -c code in a fresh process that imports this checkout's
     sjb, without OPENBLAS_NUM_THREADS unless it is given in env."""
+    return _run_python("-c", code, *argv, **env)
+
+
+def _run_python(*args, **env):
+    """Runs python with args as _run_child does."""
     src = str(Path(sjb.cli.__file__).resolve().parent.parent)
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child_env.update(env, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    return subprocess.run([sys.executable, "-c", code, *argv], env=child_env,
+    return subprocess.run([sys.executable, *args], env=child_env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_sjb_cli_runs_main():
+    # sjb.cli's __main__ block is what runs the command: without it,
+    # `python -m sjb.cli verify x.json` would exit 0 having checked nothing.
+    via_package, via_cli = (_run_python("-m", module, "stats", "--n", "3")
+                            for module in ("sjb", "sjb.cli"))
+    assert via_package.returncode == via_cli.returncode == 0
+    assert via_cli.stdout == via_package.stdout != ""
+    assert via_cli.stderr == ""
 
 
 # numpy's bundled OpenBLAS starts one thread per core at import unless

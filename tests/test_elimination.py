@@ -161,7 +161,7 @@ def test_rank_needs_no_second_prime(monkeypatch, capsys):
 
 def test_full_rank_mod_p_takes_one_prime(monkeypatch):
     seen = _spy_primes(monkeypatch)
-    assert exact_rank(up_matrix(6, 2).rows) == 15
+    assert exact_rank(up_matrix(6, 2).matrix.tolist()) == 15
     assert exact_rank([[1, 1], [1, 1 + P + 1]]) == 2
     assert seen == [P, P]
 
@@ -267,7 +267,7 @@ def test_exact_rank_of_strided_views(mat):
 def test_up_matrices_match_oracle():
     for n in range(1, 9):
         for k in range(n):
-            rows = up_matrix(n, k).rows
+            rows = up_matrix(n, k).matrix.tolist()
             rank = fraction_rank(rows)
             assert exact_rank(rows) == rank
             # up_rank_check ranks W, not up; the oracle ranks up itself.

@@ -103,23 +103,27 @@ def test_up_matches_covers_reference(n, data):
     assert up(v) == up_by_covers(v)
 
 
+COEFFS = st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70)
+ABOVE_TABLE = st.integers(TABLE_MAX_N + 1, 63)
+
+
 @st.composite
-def table_vectors(draw):
-    """Vectors over n <= TABLE_MAX_N: on one rank or mixed, with small or
-    past-int64 coefficients of either sign, and pairs whose ups cancel."""
-    n = draw(st.integers(0, TABLE_MAX_N))
+def table_vectors(draw, sizes=st.integers(0, TABLE_MAX_N)):
+    """Vectors over n drawn from sizes (by default n <= TABLE_MAX_N): on one
+    rank or mixed, with small or past-int64 coefficients of either sign, and
+    pairs whose ups cancel."""
+    n = draw(sizes)
     masks = st.integers(0, (1 << n) - 1)
     if draw(st.booleans()):
         r = draw(st.integers(0, n))
         masks = st.sets(st.integers(0, max(n - 1, 0)), min_size=r, max_size=r).map(
             lambda elements: sum(1 << e for e in elements))
-    coeffs = st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70)
-    terms = draw(st.dictionaries(masks, coeffs, max_size=12))
+    terms = draw(st.dictionaries(masks, COEFFS, max_size=12))
     if n >= 2 and draw(st.booleans()):
         # S+i and S+j both cover S+i+j, where c and -c cancel.
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         rest = draw(masks) & ~(1 << i | 1 << j)
-        c = draw(coeffs)
+        c = draw(COEFFS)
         terms.update({rest | 1 << i: c, rest | 1 << j: -c})
     return Vector(n, terms)
 
@@ -138,6 +142,32 @@ def test_table_up_matches_sparse_loop(v):
     assert all(w._terms.values())
     # Levels are read in rank order, each in ascending mask order.
     assert list(w._terms) == sorted(w._terms, key=lambda m: (rank_of(m), m))
+
+
+@settings(max_examples=200)
+@given(table_vectors(ABOVE_TABLE))
+@example(Vector.zero(TABLE_MAX_N + 1))
+@example(Vector.zero(63))
+@example(Vector(63, {(1 << 63) - 1: 1 << 65, 0: -(1 << 65)}))
+@example(Vector(TABLE_MAX_N + 1, {0b001: 1, 0b010: -1}))  # up cancels at {1,2} only
+@example(Vector(63, {1 << 62 | 0b01: 1 << 64, 1 << 62 | 0b10: -(1 << 64)}))
+def test_up_above_table_matches_covers_reference(v):
+    # Only hand-written documents take up past the table, through _up_sparse.
+    w = up(v)
+    assert w == up_by_covers(v)
+    assert all(w._terms.values())
+
+
+@settings(max_examples=100)
+@given(table_vectors(ABOVE_TABLE), st.data())
+def test_up_above_table_is_adjoint_to_down(u, data):
+    # w is drawn partly on covers of u's subsets, so the two sides share terms.
+    masks = st.integers(0, (1 << u.n) - 1)
+    covers = [cover for mask, _ in u.items() for cover in covers_of(mask, u.n)]
+    if covers:
+        masks = masks | st.sampled_from(covers)
+    w = Vector(u.n, data.draw(st.dictionaries(masks, COEFFS, max_size=12)))
+    assert up(u).dot(w) == u.dot(down(w))
 
 
 @pytest.mark.parametrize("n, tabulated", [(14, True), (15, False)])
@@ -192,19 +222,19 @@ def test_lift_is_norm_preserving_injection():
 
 def test_up_matrix_tiny():
     m = up_matrix(2, 0)
-    assert m.rows == [[1], [1]]
+    assert m.matrix.tolist() == [[1], [1]]
     assert m.col_basis == [E] and m.row_basis == [A, B]
     m = up_matrix(2, 1)
-    assert m.rows == [[1, 1]]
+    assert m.matrix.tolist() == [[1, 1]]
 
 
 def test_up_matrix_row_and_column_sums():
     for n in range(1, 11):
         for k in range(n):
             m = up_matrix(n, k)
-            rows, cols = m.shape
+            rows, cols = m.matrix.shape
             assert rows == binomial(n, k + 1) and cols == binomial(n, k)
-            matrix = m.rows
+            matrix = m.matrix.tolist()
             for row in matrix:
                 assert sum(row) == k + 1
             for j in range(cols):
@@ -232,7 +262,7 @@ def test_up_matrix_matches_covers_oracle(sizes):
         assert m.matrix.dtype == np.int8
         assert m.row_basis == subsets_of_rank(n, k + 1)
         assert m.col_basis == subsets_of_rank(n, k)
-        assert m.rows == _up_rows_by_covers(n, k)
+        assert m.matrix.tolist() == _up_rows_by_covers(n, k)
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -252,19 +282,21 @@ def test_two_step_inclusions(n):
 
 def test_up_matrix_entries_are_containments():
     m = up_matrix(4, 1)
+    rows = m.matrix.tolist()
     for i, y in enumerate(m.row_basis):
         for j, x in enumerate(m.col_basis):
             expected = 1 if (x & y == x and rank_of(y) == 2) else 0
-            assert m.rows[i][j] == expected
+            assert rows[i][j] == expected
 
 
 def test_up_matrix_agrees_with_operator():
     for n in range(1, 7):
         for k in range(n):
             m = up_matrix(n, k)
+            rows = m.matrix.tolist()
             for j, x in enumerate(m.col_basis):
                 image = up(Vector.unit(n, x))
-                col = {m.row_basis[i]: row[j] for i, row in enumerate(m.rows) if row[j]}
+                col = {m.row_basis[i]: row[j] for i, row in enumerate(rows) if row[j]}
                 assert col == dict(image.items())
 
 

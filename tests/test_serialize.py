@@ -1,13 +1,17 @@
 """Canonical documents: round trips, golden files, schema rejection."""
 
 import contextlib
+import csv
+import errno
 import importlib
 import io
+import itertools
 import json
 import os
 import re
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -361,6 +365,29 @@ def test_export_up_matrix_csv(tmp_path):
     export_up_matrix_csv(2, 1, path21)
     body = path21.read_text().splitlines()[1]
     assert body.endswith(",1,1")
+
+
+def test_failed_export_leaves_target_untouched(tmp_path, monkeypatch):
+    # A writer that runs out of room at its third row, naming the file it writes.
+    path = tmp_path / "m.csv"
+    export_up_matrix_csv(3, 1, path)
+    before = path.read_bytes()
+
+    def failing_writer(fh, **kwargs):
+        writer, rows = csv.writer(fh, **kwargs), itertools.count(1)
+
+        def writerow(row):
+            if next(rows) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device", fh.name)
+            writer.writerow(row)
+        return types.SimpleNamespace(writerow=writerow)
+
+    monkeypatch.setattr(serialize_module, "csv", types.SimpleNamespace(writer=failing_writer))
+    with pytest.raises(OSError) as failure:
+        export_up_matrix_csv(8, 3, path)
+    assert failure.value.filename == str(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.csv"]
 
 
 def test_export_rejects_bad_rank(tmp_path):
