@@ -53,9 +53,6 @@ class JordanBasis:
     n: int
     chains: list[JordanChain] = field(default_factory=list)
 
-    def total_vectors(self) -> int:
-        return sum(ch.length for ch in self.chains)
-
     def vectors_of_rank(self, r: int) -> list[tuple[int, int, Vector]]:
         """(chain index, position, vector) for every vector of rank r."""
         out = []

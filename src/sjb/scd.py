@@ -39,9 +39,6 @@ class ChainDecomposition:
     n: int
     chains: list[SubsetChain] = field(default_factory=list)
 
-    def total_subsets(self) -> int:
-        return sum(ch.length for ch in self.chains)
-
 
 def scd_chains(n: int):
     """The chains of the symmetric chain decomposition of {1..n}, one at a time.

@@ -168,14 +168,20 @@ def _parse_subset(raw, n: int) -> int:
     return sum(map(_BIT.__getitem__, raw))
 
 
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")  # what str(int) prints
+
+
 def _parse_coeff(raw) -> int:
     if not isinstance(raw, str):
         raise DocumentError(f"coeff must be a string, got {type(raw).__name__}")
     try:
         value = int(raw)
     except ValueError:
+        if _CANONICAL_INT.fullmatch(raw):  # refused only for its length
+            raise DocumentError(f"coeff has {len(raw.lstrip('-'))} digits, over the "
+                                f"interpreter's limit of {sys.get_int_max_str_digits()}") from None
         raise DocumentError(f"coeff is not a decimal integer: {raw!r}") from None
-    if str(value) != raw:
+    if not _CANONICAL_INT.fullmatch(raw):
         raise DocumentError(f"coeff is not in canonical form: {raw!r}")
     if value == 0:
         raise DocumentError("zero coefficients must not be stored")

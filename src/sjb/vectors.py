@@ -63,10 +63,6 @@ class Vector:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def support(self) -> list[int]:
-        """Masks with nonzero coefficient, ascending."""
-        return sorted(self._terms)
-
     def items(self) -> list[tuple[int, int]]:
         """(mask, coefficient) pairs in ascending mask order."""
         return sorted(self._terms.items())

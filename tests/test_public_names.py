@@ -1,0 +1,82 @@
+"""Every public name in the package is used by the package or kept on purpose.
+
+A public function, class, method or property that nothing in src/sjb
+references is either part of the library's surface, and listed in KEPT with
+its reason, or a second way to do something the package already does.
+"""
+
+import ast
+from pathlib import Path
+
+import sjb
+
+SRC = Path(sjb.__file__).parent
+
+KEPT = {
+    "embed": "the paper's notation",
+    "lift": "the paper's notation",
+    "down": "the paper's notation: up's adjoint in the sl(2) pair",
+    "to_document": "the documented codec (README, Documents)",
+    "from_document": "the documented codec (README, Documents)",
+    "serialize": "the documented codec (README, Documents)",
+    "deserialize": "the documented codec (README, Documents)",
+    "load": "the documented codec (README, Documents)",
+    "build_sjb": "the whole-object API, and a perfbench/traced.py target",
+    "build_scd": "the whole-object API, and a perfbench/traced.py target",
+    "verify_sjb": "the whole-object API, and a perfbench/traced.py target",
+    "check_ratio_uniformity": "the whole-object API, and a perfbench/traced.py target",
+    "homogeneous_rank": "a vector's rank, read from its terms",
+    "Vector.zero": "the zero vector of a ground set, built by name",
+    "chain_length_sequence": "the one way to read chain shapes",
+}
+
+
+def _public(trees):
+    """(qualified name, name) of each public module-level function and class,
+    and each public method and property of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, defs) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member.name
+
+
+def unreferenced(src: Path) -> list[str]:
+    """The public names under src that no Name or Attribute under src references."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [qual for qual, name in _public(trees) if name not in used]
+
+
+def test_every_unreferenced_public_name_is_kept_with_a_reason():
+    stray = [q for q in unreferenced(SRC) if q not in KEPT]
+    assert not stray, f"public, used nowhere in src/sjb, and not in KEPT: {stray}"
+
+
+def test_every_kept_name_is_public_and_unreferenced():
+    stale = sorted(set(KEPT).difference(unreferenced(SRC)))
+    assert not stale, f"in KEPT, but used in src/sjb or not a public name: {stale}"
+
+
+def test_scan_sees_methods_properties_and_references(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class C:\n"
+        "    @property\n"
+        "    def p(self): return 1\n"
+        "    def m(self): return self.p\n"
+        "    def _hidden(self): pass\n"
+        "def f(): return C\n"
+        "def _g(): pass\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("from .a import f\n", encoding="utf-8")
+    assert unreferenced(tmp_path) == ["C.m", "f"]

@@ -9,13 +9,14 @@ import itertools
 import json
 import os
 import re
+import sys
 import time
 import tracemalloc
 import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sjb.cli import main
@@ -182,6 +183,47 @@ def test_rejects_non_canonical_coefficients():
         doc["chains"][0]["vectors"][0][0]["coeff"] = bad
         with pytest.raises(DocumentError):
             from_document(doc)
+
+
+def _round_trip_verdict(raw: str):
+    """What _parse_coeff made of raw when it checked str(int(raw)) == raw."""
+    try:
+        value = int(raw)
+    except ValueError:
+        return f"coeff is not a decimal integer: {raw!r}"
+    if str(value) != raw:
+        return f"coeff is not in canonical form: {raw!r}"
+    return value or "zero coefficients must not be stored"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789-+_ \u0663", max_size=8))
+@example("-0")
+@example("00")
+@example("+5")
+@example(" 5")
+@example("1_0")
+@example("\u0663")
+@example("0")
+@example("-7")
+def test_coefficient_pattern_accepts_what_the_round_trip_accepted(raw):
+    try:
+        verdict = serialize_module._parse_coeff(raw)
+    except DocumentError as exc:
+        verdict = str(exc)
+    assert verdict == _round_trip_verdict(raw)
+
+
+def test_coefficient_at_the_digit_limit_reads_and_verifies(tmp_path, capsys):
+    # A chain scaled by one constant keeps its links, ratios and ranks.
+    c = -(10 ** (sys.get_int_max_str_digits() - 1) + 7)
+    basis = build_sjb(2)
+    basis.chains[0].vectors[:] = [c * v for v in basis.chains[0].vectors]
+    path = tmp_path / "big.json"
+    save(basis, path)
+    assert load(path) == basis
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
 
 
 def test_rejects_bad_version_and_kind():
@@ -898,7 +940,11 @@ def first_term(**fields):
     (first_term(coeff="0"), "zero coefficients must not be stored"),
     (first_term(coeff="-0"), "coeff is not in canonical form: '-0'"),
     (first_term(coeff="01"), "coeff is not in canonical form: '01'"),
-    (first_term(coeff="1" * 5000), "coeff is not a decimal integer: '%s'" % ("1" * 5000)),
+    (first_term(coeff="1" * 5000),
+     f"coeff has 5000 digits, over the interpreter's limit of {sys.get_int_max_str_digits()}"),
+    (first_term(coeff="-" + "9" * (sys.get_int_max_str_digits() + 1)),
+     f"coeff has {sys.get_int_max_str_digits() + 1} digits, over the interpreter's limit "
+     f"of {sys.get_int_max_str_digits()}"),
     (first_term(coeff=5), "coeff must be a string, got int"),
     (lambda ch: ch["vectors"][1].append(dict(ch["vectors"][1][0], coeff="7")),
      "chain 2 vector 1: repeated subset [1, 2]"),
@@ -908,7 +954,7 @@ def first_term(**fields):
     (lambda ch: ch.update(start_rank=5), "chain 2: bad start_rank 5"),
     (lambda ch: ch["vectors"].insert(1, []),
      "chain 2 vector 1: terms must be a non-empty list"),
-], ids=["zero", "minus-zero", "leading-zero", "5000-digits", "int-coeff", "repeated-subset",
+], ids=["zero", "minus-zero", "leading-zero", "5000-digits", "limit+1-digits", "int-coeff", "repeated-subset",
         "element-0", "element-n+1", "unsorted", "start-rank-n+1", "empty-vector"])
 def test_fault_in_canonical_text_keeps_its_message(edit, message):
     text = canonical_fault(edit)

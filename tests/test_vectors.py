@@ -127,7 +127,7 @@ def test_homogeneous_rank_matches_rank_of_oracle(v):
 def test_items_sorted_by_mask():
     v = Vector(2, {AB: 3, E: 1, B: -2})
     assert v.items() == [(E, 1), (B, -2), (AB, 3)]
-    assert v.support() == [E, B, AB]
+    assert [m for m, _ in v.items()] == [E, B, AB]
 
 
 def test_str_rendering():

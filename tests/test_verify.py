@@ -244,7 +244,7 @@ def test_orthogonality_walks_pairs_in_order_and_stops_at_the_first(monkeypatch):
     dot, ranks = Vector.dot, []
 
     def spy(self, other):
-        ranks.append(rank_of(self.support()[0]))
+        ranks.append(rank_of(self.items()[0][0]))
         return dot(self, other)
 
     monkeypatch.setattr(Vector, "dot", spy)
@@ -313,7 +313,7 @@ def test_ratio_uniformity_detects_tampering():
     victim = next(ch for ch in basis.chains if ch.start_rank == 1)
     # Replace a middle vector with a non-multiple of the same rank.
     pos = 1
-    masks = victim.vectors[pos].support()
+    masks = [m for m, _ in victim.vectors[pos].items()]
     tampered = Vector(4, {masks[0]: 1})
     victim.vectors[pos] = tampered
     ok_sjc = all(verify_sjc(ch).overall for ch in basis.chains)
