@@ -54,11 +54,6 @@ class Vector:
     def zero(cls, n: int) -> "Vector":
         return cls(n)
 
-    @classmethod
-    def unit(cls, n: int, mask: int) -> "Vector":
-        """The basis vector of a single subset."""
-        return cls(n, ((mask, 1),))
-
     @property
     def is_zero(self) -> bool:
         return not self._terms

@@ -678,7 +678,7 @@ def _tampered_n4(fault: str):
     basis = build_sjb(4)
     chains = basis.chains
     if fault == "broken_link":  # a coefficient of chain 1's rank-2 vector, -2 -> -1
-        chains[1].vectors[1] = chains[1].vectors[1] + Vector.unit(4, 0b0011)
+        chains[1].vectors[1] = chains[1].vectors[1] + Vector(4, {0b0011: 1})
     elif fault == "duplicated_chain":  # chain 4 replaced by chain 2; both start at rank 1
         chains[4] = chains[2]
     elif fault == "rescaled_vector":  # chain 4's rank-2 vector, tripled
@@ -860,7 +860,7 @@ def test_cli_keeps_a_thread_count_the_user_set():
 
 
 def test_library_leaves_the_thread_count_alone():
-    proc = _run_child("import os, sjb\nsjb.up_matrix(4, 1)\n"
+    proc = _run_child("import os\nfrom sjb.operators import up_matrix\nup_matrix(4, 1)\n"
                       "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
     assert proc.stdout == "None\n"
 

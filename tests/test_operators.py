@@ -295,7 +295,7 @@ def test_up_matrix_agrees_with_operator():
             m = up_matrix(n, k)
             rows = m.matrix.tolist()
             for j, x in enumerate(m.col_basis):
-                image = up(Vector.unit(n, x))
+                image = up(Vector(n, {x: 1}))
                 col = {m.row_basis[i]: row[j] for i, row in enumerate(rows) if row[j]}
                 assert col == dict(image.items())
 

@@ -3,7 +3,6 @@
 import contextlib
 import csv
 import errno
-import importlib
 import io
 import itertools
 import json
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sjb.serialize as serialize_module
 from sjb.cli import main
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd
@@ -28,8 +28,6 @@ from sjb.serialize import (DocumentError, deserialize, export_up_matrix_csv,
                            to_document)
 
 GOLDEN = Path(__file__).parent / "golden"
-# The package re-exports the function serialize under the module's name.
-serialize_module = importlib.import_module("sjb.serialize")
 
 
 def test_document_n0():
