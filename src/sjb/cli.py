@@ -15,7 +15,7 @@ from collections import Counter
 from .jordan import JordanBasis, sjb_chains
 from .lattice import binomial, chains_starting, check_ground_size
 from .operators import check_up_matrix_size
-from .scd import ChainDecomposition, scd_chains
+from .scd import ChainDecomposition, chain_length_sequence, scd_chains
 from .serialize import export_up_matrix_csv, read_chains, save
 from .verify import (SJB_CHECKS, compare_profiles, profile_groups, ratio_profile,
                      ratio_uniformity, unimodality_report, up_rank_check, verify_chains,
@@ -116,8 +116,6 @@ def _cmd_rank(args) -> int:
     if n < 1:
         return _error("rank needs --n >= 1")
     ks = [args.k] if args.k is not None else list(range(n))
-    if any(not 0 <= k < n for k in ks):
-        return _error(f"--k must be in 0..{n - 1}")
     if args.jobs < 1:
         return _error("--jobs must be >= 1")
     for k in ks:
@@ -162,8 +160,8 @@ def _cmd_profile(args) -> int:
 
 def _cmd_compare(args) -> int:
     # Each walk keeps only its chains' (start rank, length): one chain is held at a time.
-    basis = [(ch.start_rank, ch.length) for ch in sjb_chains(args.n)]
-    decomp = [(ch.start_rank, ch.length) for ch in scd_chains(args.n)]
+    basis = chain_length_sequence(JordanBasis(args.n, sjb_chains(args.n)))
+    decomp = chain_length_sequence(ChainDecomposition(args.n, scd_chains(args.n)))
     report = compare_profiles(args.n, basis, decomp)
     print(f"{'start_rank':>10} {'length':>7} {'chains':>7}")
     for (k, length), count in sorted(Counter(basis).items()):

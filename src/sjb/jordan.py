@@ -20,10 +20,9 @@ single vector would break the up-links.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .lattice import check_ground_size, check_items, grow
+from .lattice import binomial, check_ground_size, check_items, grow
 from .vectors import Vector
 
 
@@ -86,7 +85,7 @@ def _z(xs: list[dict[int, int]], bit: int) -> list[dict[int, int]]:
 
 def basis_terms(n: int) -> int:
     """Terms the basis of {1..n} stores, known before the build: no step cancels one."""
-    return math.comb(n, n // 2) * math.comb(n + 1, (n + 1) // 2)
+    return binomial(n, n // 2) * binomial(n + 1, (n + 1) // 2)
 
 
 def sjb_chains(n: int):

@@ -45,11 +45,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def rank_of(mask: int) -> int:
-    """Number of elements in the subset."""
-    return mask.bit_count()
-
-
 def subsets_of_rank(n: int, k: int) -> list[int]:
     """All k-element subsets of {1..n} as masks, in increasing mask order."""
     if not 0 <= k <= n:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import check_ground_size, check_items, grow, rank_of
+from .lattice import check_ground_size, check_items, grow
 
 
 @dataclass
@@ -23,7 +23,7 @@ class SubsetChain:
 
     @property
     def start_rank(self) -> int:
-        return rank_of(self.subsets[0])
+        return self.subsets[0].bit_count()
 
     @property
     def length(self) -> int:
@@ -31,7 +31,7 @@ class SubsetChain:
 
     @property
     def top_rank(self) -> int:
-        return rank_of(self.subsets[-1])
+        return self.subsets[-1].bit_count()
 
 
 @dataclass

@@ -50,10 +50,6 @@ class Vector:
         out.n, out._terms = n, terms
         return out
 
-    @classmethod
-    def zero(cls, n: int) -> "Vector":
-        return cls(n)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms

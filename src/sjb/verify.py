@@ -18,7 +18,7 @@ from .elimination import exact_rank, ndarray
 from .jordan import JordanBasis, JordanChain
 from .lattice import binomial, chains_starting, check_items, subsets_of_rank
 from .operators import _inclusions, check_up_matrix_size, up
-from .scd import ChainDecomposition
+from .scd import ChainDecomposition, chain_length_sequence
 
 
 class InvalidChainError(ValueError):
@@ -138,8 +138,7 @@ def check_stack_sizes(basis: JordanBasis) -> None:
     """Raise CapacityError if the vectors of a rank are too many to rank as a
     square matrix or to take every inner product of: a document may repeat
     vectors, so every rank counts, not only those holding C(n, r) vectors."""
-    shapes = ((ch.start_rank, ch.length) for ch in basis.chains)
-    for r, count in enumerate(_rank_counts(basis.n, shapes)):
+    for r, count in enumerate(_rank_counts(basis.n, chain_length_sequence(basis))):
         check_items(count * count, "entries", f"rank {r} stack of n={basis.n}")
 
 

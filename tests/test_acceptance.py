@@ -6,8 +6,6 @@ clock budgets.
 """
 
 import random
-import subprocess
-import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -155,14 +153,11 @@ def test_criterion_8_ground_extension_recurrence():
                 assert up(lift(v)) == lift(up(v))
 
 
-def test_criterion_9_build_determinism(tmp_path):
+def test_criterion_9_build_determinism(run_python, tmp_path):
     with criterion(9, "two independent CLI builds at n=10 are byte-identical"):
         paths = [tmp_path / "run1.json", tmp_path / "run2.json"]
         for path in paths:
-            proc = subprocess.run(
-                [sys.executable, "-m", "sjb", "build", "--n", "10",
-                 "--out", str(path)],
-                capture_output=True, text=True)
+            proc = run_python("-m", "sjb", "build", "--n", "10", "--out", str(path))
             assert proc.returncode == 0, proc.stderr
         first, second = (p.read_bytes() for p in paths)
         assert first == second

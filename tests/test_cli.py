@@ -8,8 +8,6 @@ import itertools
 import json
 import os
 import re
-import subprocess
-import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -162,6 +160,19 @@ def test_rank_single_level_and_errors(capsys):
     assert main(["rank", "--n", "5", "--k", "5"]) == 2
     assert main(["rank", "--n", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["rank", "--n", "5", "--k", "5"],
+                                  ["export-matrix", "--n", "5", "--k", "5"]],
+                         ids=["rank", "export-matrix"])
+def test_a_level_outside_the_ground_set_has_one_message(tmp_path, capsys, argv):
+    # The library's range check words the fault for both commands.
+    out = tmp_path / "m.csv"
+    if argv[0] == "export-matrix":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: rank must be in 0..4, got 5\n")
+    assert not out.exists()
 
 
 def test_rank_parallel_matches_serial(capsys):
@@ -806,31 +817,15 @@ def probe_docs(tmp_path_factory):
     (["rank", "--n", "4"], True),
     (["export-matrix", "--n", "4", "--k", "1", "--out", "{d}/m.csv"], True),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-def test_numpy_loads_only_where_a_rank_is_taken(probe_docs, argv, loads_numpy):
-    proc = _run_child(NUMPY_PROBE, *[a.format(d=probe_docs) for a in argv])
+def test_numpy_loads_only_where_a_rank_is_taken(run_python, probe_docs, argv, loads_numpy):
+    proc = run_python("-c", NUMPY_PROBE, *[a.format(d=probe_docs) for a in argv])
     assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
 
 
-def _run_child(code, *argv, **env):
-    """Runs python -c code in a fresh process that imports this checkout's
-    sjb, without OPENBLAS_NUM_THREADS unless it is given in env."""
-    return _run_python("-c", code, *argv, **env)
-
-
-def _run_python(*args, **env):
-    """Runs python with args as _run_child does."""
-    src = str(Path(sjb.cli.__file__).resolve().parent.parent)
-    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    child_env.update(env, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    return subprocess.run([sys.executable, *args], env=child_env,
-                          capture_output=True, text=True, timeout=60)
-
-
-def test_python_m_sjb_cli_runs_main():
+def test_python_m_sjb_cli_runs_main(run_python):
     # sjb.cli's __main__ block is what runs the command: without it,
     # `python -m sjb.cli verify x.json` would exit 0 having checked nothing.
-    via_package, via_cli = (_run_python("-m", module, "stats", "--n", "3")
+    via_package, via_cli = (run_python("-m", module, "stats", "--n", "3")
                             for module in ("sjb", "sjb.cli"))
     assert via_package.returncode == via_cli.returncode == 0
     assert via_cli.stdout == via_package.stdout != ""
@@ -848,20 +843,20 @@ BLAS_PROBE = ("import os, sys\nfrom sjb.cli import main\n"
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or os.cpu_count() == 1,
                     reason="needs /proc/self/task and more than one core")
-def test_cli_starts_numpy_with_one_thread():
-    proc = _run_child(BLAS_PROBE, "rank", "--n", "4")
+def test_cli_starts_numpy_with_one_thread(run_python):
+    proc = run_python("-c", BLAS_PROBE, "rank", "--n", "4")
     assert proc.stdout.splitlines()[-1] == "0 1 1"
 
 
-def test_cli_keeps_a_thread_count_the_user_set():
-    proc = _run_child(BLAS_PROBE, "rank", "--n", "4", OPENBLAS_NUM_THREADS="2")
+def test_cli_keeps_a_thread_count_the_user_set(run_python):
+    proc = run_python("-c", BLAS_PROBE, "rank", "--n", "4", OPENBLAS_NUM_THREADS="2")
     rc, _, threads = proc.stdout.splitlines()[-1].split()
     assert (rc, threads) == ("0", "2")
 
 
-def test_library_leaves_the_thread_count_alone():
-    proc = _run_child("import os\nfrom sjb.operators import up_matrix\nup_matrix(4, 1)\n"
-                      "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+def test_library_leaves_the_thread_count_alone(run_python):
+    proc = run_python("-c", "import os\nfrom sjb.operators import up_matrix\nup_matrix(4, 1)\n"
+                            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
     assert proc.stdout == "None\n"
 
 
@@ -872,8 +867,8 @@ NO_NUMPY = ("import sys\nsys.modules['numpy'] = None\nfrom sjb.cli import main\n
             "sys.exit(main(sys.argv[1:]))\n")
 
 
-def test_numpy_that_cannot_be_imported_exits_2(probe_docs):
-    proc = _run_child(NO_NUMPY, "verify", str(probe_docs / "b.json"))
+def test_numpy_that_cannot_be_imported_exits_2(run_python, probe_docs):
+    proc = run_python("-c", NO_NUMPY, "verify", str(probe_docs / "b.json"))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert len(proc.stderr.splitlines()) == 1
     assert re.fullmatch(r"error: [^\n]*numpy[^\n]*\n", proc.stderr)

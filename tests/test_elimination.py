@@ -1,11 +1,8 @@
 """Exact rank: elimination modulo P, then modulo more primes, against oracles."""
 
 import itertools
-import os
 import random
 import re
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -15,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sjb
 from sjb import elimination, verify
 from sjb.cli import main
 from sjb.elimination import P, _is_prime, _primes, _rank_mod_p, exact_rank
@@ -376,12 +372,8 @@ except CapacityError as exc:
 """
 
 
-def test_prime_loop_past_the_cap_is_refused():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sjb.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", CAP_PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
+def test_prime_loop_past_the_cap_is_refused(run_python):
+    proc = run_python("-c", CAP_PROBE)
     seconds, message = proc.stdout.split(" ", 1)
     assert float(seconds) < 2.0
     assert re.fullmatch(r"exact rank of a deficient 100x100 matrix has \d+ words over "

@@ -1,11 +1,7 @@
 """Each module of the package imports alone, and as itself, in a fresh
-interpreter: the package root imports none of them."""
+interpreter: the package root imports none of them and binds no public name."""
 
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -20,14 +16,18 @@ PROBE = ("import sys\nimport sjb.{0} as m\n"
 
 
 @pytest.mark.parametrize("name", MODULES)
-def test_module_imports_alone_as_itself(name):
-    src = str(Path(sjb.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(name)], env=env,
-                          capture_output=True, text=True, timeout=60)
+def test_module_imports_alone_as_itself(run_python, name):
+    proc = run_python("-c", PROBE.format(name))
     assert proc.returncode == 0, proc.stderr
     bound, loaded = proc.stdout.splitlines()
     assert bound == "True"
     if name == "lattice":  # every other module imports it; it imports no sibling
         assert loaded.split() == ["sjb", "sjb.lattice"]
+
+
+def test_package_root_binds_no_public_name(run_python):
+    # A re-export, such as lattice's grow, would bind a name here.
+    proc = run_python("-c", "import sjb\n"
+                            "print(sorted(k for k in vars(sjb) if not k.startswith('_')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -61,7 +61,7 @@ def extend(chain, n):
     """The y and (for two or more vectors) z children over {1..n+1} of a
     chain over {1..n}, written with embed and lift as the paper states them."""
     k, m = chain.start_rank, n + 1
-    zero = Vector.zero(n)
+    zero = Vector(n)
 
     def x(l):
         return chain.vectors[l - k] if k <= l <= n - k else zero

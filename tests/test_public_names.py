@@ -28,9 +28,7 @@ KEPT = {
     "verify_sjb": "the whole-object API, and a perfbench/traced.py target",
     "check_ratio_uniformity": "the whole-object API, and a perfbench/traced.py target",
     "homogeneous_rank": "a vector's rank, read from its terms",
-    "Vector.zero": "the zero vector of a ground set, built by name",
     "Vector.coeff": "one subset's coefficient, read without sorting every term as items() does",
-    "chain_length_sequence": "the one way to read chain shapes",
 }
 
 

@@ -102,7 +102,7 @@ def test_writer_matches_json_dumps(n):
     JordanBasis(0, []),
     ChainDecomposition(4, []),
     ChainDecomposition(0, [SubsetChain(0, [0])]),
-    JordanBasis(2, [JordanChain(2, 1, [Vector.zero(2)])]),
+    JordanBasis(2, [JordanChain(2, 1, [Vector(2)])]),
     JordanBasis(2, [JordanChain(2, 0, [])]),
     JordanBasis(3, [JordanChain(3, 1, [Vector(3, {0b001: -5, 0b100: 3}),
                                        Vector(3, {0b011: -(1 << 64) - 7,

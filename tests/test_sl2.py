@@ -81,7 +81,7 @@ def rank_k_combinations(draw):
     upper = draw(st.lists(coeffs, min_size=len(starts), max_size=len(starts)))
     lower = draw(st.one_of(st.just([0] * len(below)),
                            st.lists(coeffs, min_size=len(below), max_size=len(below))))
-    v = Vector.zero(n)
+    v = Vector(n)
     for c, w in zip(upper + lower, starts + below):
         v = v + c * w
     return n, k, v, lower

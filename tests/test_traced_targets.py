@@ -2,12 +2,7 @@
 
 import importlib
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
-
-import sjb
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -29,14 +24,10 @@ def test_every_traced_target_resolves_to_a_callable():
         assert callable(obj), f"sjb.{module_name}.{qualname} is not a callable"
 
 
-def test_importing_the_cli_loads_every_traced_module():
+def test_importing_the_cli_loads_every_traced_module(run_python):
     # Tracer.install reads sys.modules["sjb.<module>"] for each target right
     # after `import sjb.cli`, and the package root imports no module.
-    src = str(Path(sjb.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", "import sys, sjb.cli; print(*sys.modules)"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = run_python("-c", "import sys, sjb.cli; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr
     missing = {f"sjb.{m}" for m, _, _ in _load_traced().TARGETS} - set(proc.stdout.split())
     assert not missing, f"a fresh import of sjb.cli does not load {sorted(missing)}"

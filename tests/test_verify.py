@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
-from sjb.lattice import (MAX_ITEMS, CapacityError, binomial, chains_starting, rank_of,
+from sjb.lattice import (MAX_ITEMS, CapacityError, binomial, chains_starting,
                          subsets_of_rank)
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd, chain_length_sequence
 from sjb.vectors import Vector
@@ -56,7 +56,7 @@ def test_verify_sjc_flags_broken_link():
 
 
 def test_verify_sjc_flags_zero_and_mixed_vectors():
-    report = verify_sjc(JordanChain(2, 1, [Vector.zero(2)]))
+    report = verify_sjc(JordanChain(2, 1, [Vector(2)]))
     assert {"vectors_nonzero", "vectors_homogeneous"} <= {c.name for c in report.failures()}
     report = verify_sjc(JordanChain(2, 1, [Vector(2, {E: 1, A: 1})]))
     assert any(c.name == "vectors_homogeneous" and not c.passed for c in report.checks)
@@ -244,7 +244,7 @@ def test_orthogonality_walks_pairs_in_order_and_stops_at_the_first(monkeypatch):
     dot, ranks = Vector.dot, []
 
     def spy(self, other):
-        ranks.append(rank_of(self.items()[0][0]))
+        ranks.append(self.items()[0][0].bit_count())
         return dot(self, other)
 
     monkeypatch.setattr(Vector, "dot", spy)
@@ -281,7 +281,7 @@ def test_ratio_profile_hand_values():
 
 def test_ratio_profile_rejects_zero_vector():
     with pytest.raises(InvalidChainError):
-        ratio_profile(JordanChain(2, 0, [Vector.zero(2)]))
+        ratio_profile(JordanChain(2, 0, [Vector(2)]))
 
 
 def test_ratio_uniformity_of_built_bases():
@@ -430,7 +430,7 @@ def whole_verify_scd(decomp):
     report.add("covers_all", len(seen) == 2 ** n, {"got": len(seen), "expected": 2 ** n})
     bad_sat = next(({"chain": ci, "position": i} for ci, ch in enumerate(decomp.chains)
                     for i, (a, b) in enumerate(zip(ch.subsets, ch.subsets[1:]))
-                    if a & b != a or rank_of(b) != rank_of(a) + 1), None)
+                    if a & b != a or b.bit_count() != a.bit_count() + 1), None)
     report.add("saturated", bad_sat is None, bad_sat)
     bad_sym = next(({"chain": ci} for ci, ch in enumerate(decomp.chains)
                     if ch.start_rank + ch.top_rank != n), None)
