@@ -108,19 +108,6 @@ def mask_to_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def elements_to_mask(elements, n: int) -> int:
-    """Mask for a collection of 1-indexed elements; rejects out-of-range and repeats."""
-    mask = 0
-    for e in elements:
-        if not isinstance(e, int) or not 1 <= e <= n:
-            raise ValueError(f"element {e!r} outside 1..{n}")
-        bit = 1 << (e - 1)
-        if mask & bit:
-            raise ValueError(f"repeated element {e}")
-        mask |= bit
-    return mask
-
-
 def subset_str(mask: int) -> str:
     """Human-readable subset, e.g. '{}' or '{1,3}'."""
     return "{" + ",".join(str(e) for e in mask_to_elements(mask)) + "}"

@@ -24,7 +24,7 @@ import sys
 from typing import Union
 
 from .jordan import JordanBasis, JordanChain
-from .lattice import HARD_CAP, elements_to_mask, mask_to_elements, subset_str
+from .lattice import HARD_CAP, mask_to_elements, subset_str
 from .operators import up_matrix
 from .scd import ChainDecomposition, SubsetChain
 from .vectors import Vector
@@ -161,10 +161,8 @@ def _parse_subset(raw, n: int) -> int:
     if raw != sorted(set(raw)):
         raise DocumentError(f"subset must be sorted without repeats: {raw!r}")
     if raw and not 1 <= raw[0] <= raw[-1] <= n:  # sorted: its ends bound it
-        try:
-            elements_to_mask(raw, n)  # words the failure
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from None
+        bad = next(e for e in raw if not 1 <= e <= n)
+        raise DocumentError(f"element {bad!r} outside 1..{n}")
     return sum(map(_BIT.__getitem__, raw))
 
 

@@ -197,7 +197,12 @@ def verify_chains(n: int, chains, checks=SJB_CHECKS, full_rank: bool = True
     """The reports of the named checks on a basis's chains, in SJB_CHECKS
     order, from one pass over them.  chains may be a stream: they are held
     only when ortho, or basis with full_rank, needs the rank stacks, and a
-    stack over the work budget then raises CapacityError before any check."""
+    stack over the work budget then raises CapacityError before any check.
+    A name outside SJB_CHECKS raises ValueError once the chains are read."""
+    if unknown := [c for c in checks if c not in SJB_CHECKS]:
+        for _ in chains:  # a fault in the document is reported first
+            pass
+        raise ValueError(f"unknown checks {unknown}; choose from {','.join(SJB_CHECKS)}")
     full_rank = full_rank and "basis" in checks
     basis = None
     if "ortho" in checks or full_rank:

@@ -1,6 +1,7 @@
 """Verifier: chain/basis validity, orthogonality, ratios, rank results."""
 
 import dataclasses
+import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from sjb.jordan import JordanBasis, JordanChain, build_sjb
 from sjb.lattice import (MAX_ITEMS, CapacityError, binomial, chains_starting,
                          subsets_of_rank)
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd, chain_length_sequence
+from sjb.serialize import DocumentError, read_chains, to_document
 from sjb.vectors import Vector
 from sjb.verify import (InvalidChainError, RatioProfile, VerificationReport,
                         check_orthogonality, check_ratio_uniformity, check_stack_sizes,
@@ -208,6 +210,40 @@ def test_verify_chains_reads_a_stream_as_a_list(checks):
              for c in ("sjc", "basis", "ortho", "ratios") if c in checks]
     assert list(map(str, streamed)) == list(map(str, listed)) == list(map(str, alone))
     assert not all(r.overall for r in listed)
+
+
+@pytest.mark.parametrize("checks, unknown", [(("sjc", "ratio"), ["ratio"]),
+                                             (("bogus",), ["bogus"])])
+@pytest.mark.parametrize("stream", [False, True])
+def test_verify_chains_refuses_an_unknown_check(checks, unknown, stream):
+    # The CLI's wording; no report is made, so an unknown name never reads as PASS.
+    chains = build_sjb(3).chains
+    with pytest.raises(ValueError) as exc:
+        verify_chains(3, iter(chains) if stream else chains, checks)
+    assert str(exc.value) == f"unknown checks {unknown}; choose from sjc,basis,ortho,ratios"
+
+
+def test_verify_chains_reports_a_document_fault_before_an_unknown_check(tmp_path):
+    doc = to_document(build_sjb(4))
+    doc["chains"][-1]["vectors"][0][0]["coeff"] = "01"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    _, n, chains = read_chains(path)
+    with pytest.raises(DocumentError, match="coeff is not in canonical form: '01'"):
+        verify_chains(n, chains, ("sjc", "bogus"))
+
+
+def test_verify_chains_reads_to_the_end_holding_nothing_before_refusing(monkeypatch):
+    # ortho would hold the chains and size their stacks; an unknown name
+    # refuses first, one chain at a time.
+    def no_stacks(basis):
+        raise AssertionError("held the chains of a refused request")
+
+    monkeypatch.setattr("sjb.verify.check_stack_sizes", no_stacks)
+    stream = iter(build_sjb(4).chains)
+    with pytest.raises(ValueError, match=r"unknown checks \['bogus'\]"):
+        verify_chains(4, stream, ("ortho", "bogus"))
+    assert next(stream, None) is None
 
 
 def test_orthogonality_of_built_bases():
