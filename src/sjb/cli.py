@@ -17,9 +17,8 @@ from .lattice import binomial, chains_starting, check_ground_size
 from .operators import check_up_matrix_size
 from .scd import ChainDecomposition, chain_length_sequence, scd_chains
 from .serialize import export_up_matrix_csv, read_chains, save
-from .verify import (SJB_CHECKS, compare_profiles, profile_groups, ratio_profile,
-                     ratio_uniformity, unimodality_report, up_rank_check, verify_chains,
-                     verify_scd)
+from .verify import (SJB_CHECKS, compare_profiles, unimodality_report, up_rank_check,
+                     verify_chains, verify_scd)
 
 
 def _error(message) -> int:
@@ -145,12 +144,10 @@ def _cmd_profile(args) -> int:
     kind, n, chains = read_chains(args.file)
     if kind != "sjb":
         return _refuse(chains, "profile applies only to sjb documents")
-    groups = profile_groups(map(ratio_profile, chains))  # holds the profiles, not the chains
-    report = ratio_uniformity(n, groups)
-    for (k, group), check in zip(groups.items(), report.checks):
-        ref = group[0][1].ratios
-        shown = " ".join(str(r) for r in ref) if ref else "(single vector)"
-        print(f"start_rank {k}: chains={len(group)} ratios: {shown}"
+    report, = verify_chains(n, chains, ("ratios",))
+    for (k, group), check in zip(report.groups.items(), report.checks):
+        shown = " ".join(map(str, group.ratios)) or "(single vector)"
+        print(f"start_rank {k}: chains={group.count} ratios: {shown}"
               + ("" if check.passed else "  [NOT UNIFORM]"))
     print(f"profiles uniform within each start rank: {'PASS' if report.overall else 'FAIL'}")
     return 0 if report.overall else 1

@@ -25,7 +25,7 @@ class CapacityError(ValueError):
 
 def check_ground_size(n: int) -> int:
     """Validate a ground set size against the representation cap; returns n."""
-    if not isinstance(n, int) or not 0 <= n <= HARD_CAP:
+    if type(n) is not int or not 0 <= n <= HARD_CAP:
         raise CapacityError(f"ground set size must be in 0..{HARD_CAP}, got {n!r}")
     return n
 

@@ -61,14 +61,6 @@ class VerificationReport:
 
 
 @dataclass
-class RatioProfile:
-    """Squared-norm ratios of successive chain vectors, as exact rationals."""
-
-    start_rank: int
-    ratios: list[Fraction]
-
-
-@dataclass
 class UpRankResult:
     n: int
     k: int
@@ -162,20 +154,38 @@ class SjcReport:
         return "\n".join([*map(str, self.failed), verdict])
 
 
-def _basis_report(n: int, shapes: list[tuple[int, int]], bad_chain: dict | None,
+@dataclass
+class RatioGroup:
+    """The chains of one start rank: the first one's index and ratios, how
+    many there are, and the first whose ratios differ from the first's."""
+
+    chain: int
+    ratios: list[Fraction]
+    count: int = 1
+    witness: dict | None = None
+
+
+@dataclass
+class RatioReport(VerificationReport):
+    """The ratio check's report, with each start rank's group, ascending."""
+
+    groups: dict[int, RatioGroup] = field(default_factory=dict)
+
+
+def _basis_report(n: int, shapes: Counter, bad_chain: dict | None,
                   basis: JordanBasis | None) -> VerificationReport:
     """verify_sjb's report; given the basis of these chains, with its full-rank checks."""
-    report = VerificationReport(f"sjb n={n} chains={len(shapes)}")
+    report = VerificationReport(f"sjb n={n} chains={shapes.total()}")
     report.add("chains_valid", bad_chain is None, bad_chain)
 
-    total = sum(length for _, length in shapes)
+    total = sum(length for _, length in shapes.elements())
     report.add("total_count", total == 2 ** n, {"got": total, "expected": 2 ** n})
 
-    counts = _rank_counts(n, shapes)
+    counts = _rank_counts(n, shapes.elements())
     bad_rank = next(({"rank": r, "got": got, "expected": binomial(n, r)}
                      for r, got in enumerate(counts) if got != binomial(n, r)), None)
     report.add("rank_counts", bad_rank is None, bad_rank)
-    _check_start_ranks(report, n, Counter(k for k, _ in shapes))
+    _check_start_ranks(report, n, Counter(k for k, _ in shapes.elements()))
     if basis is None:
         return report
     for r, count in enumerate(counts):
@@ -209,21 +219,24 @@ def verify_chains(n: int, chains, checks=SJB_CHECKS, full_rank: bool = True
         basis = JordanBasis(n, list(chains))
         check_stack_sizes(basis)
         chains = basis.chains
-    shapes, failed, bad_chain, profiles = [], [], None, []
-    for ch in chains:
+    shapes, failed, bad_chain, groups = Counter(), [], None, {}
+    for ci, ch in enumerate(chains):
         if "sjc" in checks and not (report := verify_sjc(ch)).overall:
             failed.append(report)
         # chains_valid runs verify_sjc again: perfbench/run.py pins 2·C(n, n/2)
         # verify_sjc calls per full verify, and the traced CI steps check them.
         if "basis" in checks and bad_chain is None and not (sub := verify_sjc(ch)).overall:
-            bad_chain = {"chain": len(shapes), "failed": [c.name for c in sub.failures()]}
-        shapes.append((ch.start_rank, ch.length))
+            bad_chain = {"chain": ci, "failed": [c.name for c in sub.failures()]}
+        shapes[ch.start_rank, ch.length] += 1
         if "ratios" in checks:
-            profiles.append(ratio_profile(ch))
-    reports = {"sjc": lambda: SjcReport(len(shapes), failed),
+            _add_ratios(groups, ci, ch)
+    ratios = RatioReport(f"ratio uniformity n={n}", groups=dict(sorted(groups.items())))
+    for k, group in ratios.groups.items():
+        ratios.add(f"uniform_ratios[k={k}]", group.witness is None, group.witness)
+    reports = {"sjc": lambda: SjcReport(shapes.total(), failed),
                "basis": lambda: _basis_report(n, shapes, bad_chain, basis if full_rank else None),
                "ortho": lambda: check_orthogonality(basis),
-               "ratios": lambda: ratio_uniformity(n, profile_groups(profiles))}
+               "ratios": lambda: ratios}
     return [reports[c]() for c in SJB_CHECKS if c in checks]
 
 
@@ -262,7 +275,7 @@ def check_orthogonality(basis: JordanBasis) -> VerificationReport:
     return report
 
 
-def ratio_profile(chain: JordanChain) -> RatioProfile:
+def ratio_profile(chain: JordanChain) -> list[Fraction]:
     """Exact ratios norm_sq(v_{l+1}) / norm_sq(v_l) along a chain."""
     norms = []
     for i, v in enumerate(chain.vectors):
@@ -270,43 +283,31 @@ def ratio_profile(chain: JordanChain) -> RatioProfile:
         if ns == 0:
             raise InvalidChainError(f"zero vector at position {i}")
         norms.append(ns)
-    return RatioProfile(chain.start_rank,
-                        [Fraction(norms[i + 1], norms[i]) for i in range(len(norms) - 1)])
+    return [Fraction(norms[i + 1], norms[i]) for i in range(len(norms) - 1)]
 
 
-def profile_groups(profiles) -> dict[int, list[tuple[int, RatioProfile]]]:
-    """(index, profile) of each of the chains' profiles, by start rank, ascending."""
-    by_start: dict[int, list[tuple[int, RatioProfile]]] = {}
-    for ci, prof in enumerate(profiles):
-        by_start.setdefault(prof.start_rank, []).append((ci, prof))
-    return dict(sorted(by_start.items()))
+def _add_ratios(groups: dict[int, RatioGroup], ci: int, chain: JordanChain) -> None:
+    """Count chain ci in its start rank's group; the first chain whose ratios
+    differ from the group's first is its witness."""
+    ratios, k = ratio_profile(chain), chain.start_rank
+    if (group := groups.get(k)) is None:
+        groups[k] = RatioGroup(ci, ratios)
+        return
+    group.count += 1
+    if group.witness is None and ratios != group.ratios:
+        pos = next(i for i, (a, b) in enumerate(zip(ratios, group.ratios))
+                   if a != b) if len(ratios) == len(group.ratios) else None
+        group.witness = {"start_rank": k, "chain": ci, "reference_chain": group.chain,
+                         "position": pos}
 
 
-def check_ratio_uniformity(basis: JordanBasis) -> VerificationReport:
+def check_ratio_uniformity(basis: JordanBasis) -> RatioReport:
     """Chains sharing a start rank have identical squared-norm ratio profiles.
 
     Exact rational comparison, hence invariant under rescaling any whole
     chain by a nonzero scalar.
     """
     return verify_chains(basis.n, basis.chains, ("ratios",))[0]
-
-
-def ratio_uniformity(n: int, groups: dict[int, list[tuple[int, RatioProfile]]]
-                     ) -> VerificationReport:
-    """check_ratio_uniformity on profiles already grouped by profile_groups."""
-    report = VerificationReport(f"ratio uniformity n={n}")
-    for k, group in groups.items():
-        ref_ci, ref = group[0]
-        witness = None
-        for ci, prof in group[1:]:
-            if prof.ratios != ref.ratios:
-                pos = next(i for i, (a, b) in enumerate(zip(prof.ratios, ref.ratios))
-                           if a != b) if len(prof.ratios) == len(ref.ratios) else None
-                witness = {"start_rank": k, "chain": ci, "reference_chain": ref_ci,
-                           "position": pos}
-                break
-        report.add(f"uniform_ratios[k={k}]", witness is None, witness)
-    return report
 
 
 def up_rank_check(n: int, k: int) -> UpRankResult:

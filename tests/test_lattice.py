@@ -138,7 +138,7 @@ def test_ground_size_cap():
     # Masks must fit a machine word; the work budget decides the rest.
     assert check_ground_size(0) == 0
     assert check_ground_size(63) == 63
-    for n in (-1, 64, "3", 3.0):
+    for n in (-1, 64, "3", 3.0, True, False):
         with pytest.raises(CapacityError, match=f"must be in 0..63, got {n!r}$"):
             check_ground_size(n)
 

@@ -84,6 +84,9 @@ def test_capacity_enforced():
     assert next(scd_chains(26)).length == 27
     with pytest.raises(CapacityError, match="scd decomposition for n=27 has 134217728 subsets"):
         build_scd(27)
+    for n in (64, True, False):
+        with pytest.raises(CapacityError, match=f"ground set size must be in 0..63, got {n}$"):
+            scd_chains(n)
 
 
 def test_chain_properties():

@@ -30,8 +30,8 @@ def test_ratios_have_the_closed_form():
     for n in range(11):
         for ch in chains(n):
             k = ch.start_rank
-            assert ratio_profile(ch).ratios == [(j + 1) * (n - 2 * k - j)
-                                                for j in range(ch.length - 1)]
+            assert ratio_profile(ch) == [(j + 1) * (n - 2 * k - j)
+                                         for j in range(ch.length - 1)]
             seen += 1
     assert seen == 526
 

@@ -17,10 +17,9 @@ from sjb.lattice import (MAX_ITEMS, CapacityError, binomial, chains_starting,
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd, chain_length_sequence
 from sjb.serialize import DocumentError, read_chains, to_document
 from sjb.vectors import Vector
-from sjb.verify import (InvalidChainError, RatioProfile, VerificationReport,
-                        check_orthogonality, check_ratio_uniformity, check_stack_sizes,
-                        compare_profiles, profile_groups, ratio_profile,
-                        ratio_uniformity, unimodality_report, up_rank_check,
+from sjb.verify import (InvalidChainError, VerificationReport, check_orthogonality,
+                        check_ratio_uniformity, check_stack_sizes, compare_profiles,
+                        ratio_profile, unimodality_report, up_rank_check,
                         verify_chains, verify_scd, verify_sjb, verify_sjc)
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
@@ -309,10 +308,10 @@ def test_orthogonality_matches_every_pair(drawn):
 
 
 def test_ratio_profile_hand_values():
-    assert ratio_profile(chain_n2_long()).ratios == [Fraction(2), Fraction(2)]
-    assert ratio_profile(chain_n2_short()).ratios == []
+    assert ratio_profile(chain_n2_long()) == [Fraction(2), Fraction(2)]
+    assert ratio_profile(chain_n2_short()) == []
     n1 = JordanChain(1, 0, [Vector(1, {0: 1}), Vector(1, {1: 1})])
-    assert ratio_profile(n1).ratios == [Fraction(1)]
+    assert ratio_profile(n1) == [Fraction(1)]
 
 
 def test_ratio_profile_rejects_zero_vector():
@@ -327,7 +326,7 @@ def test_ratio_uniformity_of_built_bases():
 
 def test_ratio_uniformity_n4_rank1_chains_agree():
     basis = build_sjb(4)
-    profs = [ratio_profile(ch).ratios for ch in basis.chains if ch.start_rank == 1]
+    profs = [ratio_profile(ch) for ch in basis.chains if ch.start_rank == 1]
     assert len(profs) == 3
     assert all(p == profs[0] for p in profs)
 
@@ -358,15 +357,43 @@ def test_ratio_uniformity_detects_tampering():
 
 
 def test_ratio_uniformity_reads_grouped_profiles():
+    # One group per start rank, ascending: its first chain, that chain's
+    # ratios, and how many chains start there.
     basis = build_sjb(5)
-    groups = profile_groups(map(ratio_profile, basis.chains))
-    assert str(ratio_uniformity(5, groups)) == str(check_ratio_uniformity(basis))
-    ci, prof = groups[1][2]
-    groups[1][2] = (ci, RatioProfile(1, prof.ratios[:-1] + [prof.ratios[-1] / 9]))
-    failed = ratio_uniformity(5, groups).failures()
-    assert [(c.name, c.witness) for c in failed] == [
-        ("uniform_ratios[k=1]", {"start_rank": 1, "chain": ci,
-                                 "reference_chain": groups[1][0][0], "position": 2})]
+    groups = check_ratio_uniformity(basis).groups
+    assert {k: g.count for k, g in groups.items()} == {0: 1, 1: 4, 2: 5}
+    assert list(groups) == [0, 1, 2]
+    for k, g in groups.items():
+        first = basis.chains[g.chain]
+        assert first.start_rank == k and not any(
+            ch.start_rank == k for ch in basis.chains[:g.chain])
+        assert g.ratios == ratio_profile(first) and g.witness is None
+    # Tripling chain 4's top vector breaks its last ratio; the witness is
+    # the first chain that differs from its group's first chain.
+    basis.chains[4].vectors[-1] = 3 * basis.chains[4].vectors[-1]
+    report = check_ratio_uniformity(basis)
+    witness = {"start_rank": 1, "chain": 4, "reference_chain": 1, "position": 2}
+    assert [(c.name, c.witness) for c in report.failures()] == [
+        ("uniform_ratios[k=1]", witness)]
+    assert report.groups[1].witness == witness and report.groups[1].count == 4
+
+
+def test_streamed_checks_keep_tallies_not_a_record_per_chain():
+    # 9,000 chains, 3,000 copies of the n = 3 basis: the basis check keeps a
+    # tally of (start rank, length) and the ratio check one group per start
+    # rank, so the peak does not grow with the chains read.
+    chains = build_sjb(3).chains
+    stream = (ch for _ in range(3000) for ch in chains)
+    tracemalloc.start()
+    try:
+        basis, ratios = verify_chains(3, stream, ("basis", "ratios"), full_rank=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
+    assert basis.subject == "sjb n=3 chains=9000"
+    assert {k: g.count for k, g in ratios.groups.items()} == {0: 3000, 1: 6000}
+    assert ratios.overall
 
 
 def test_compare_profiles():
