@@ -47,7 +47,7 @@ def up(v: Vector) -> Vector:
         for cover in covers[mask]:
             acc[cover] += c
     # Rank r lands on level r+1, read in ascending mask order; zero sums are dropped.
-    return Vector._from_terms(n, {m: acc[m] for r in sorted(set(map(int.bit_count, terms)))
+    return Vector._from_terms(n, {m: acc[m] for r in sorted(v.ranks)
                                   if r < n for m in levels[r + 1] if acc[m]})
 
 

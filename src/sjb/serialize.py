@@ -24,7 +24,7 @@ import sys
 from typing import Union
 
 from .jordan import JordanBasis, JordanChain
-from .lattice import HARD_CAP, mask_to_elements, subset_str
+from .lattice import HARD_CAP, check_ground_size, mask_to_elements, subset_str
 from .operators import up_matrix
 from .scd import ChainDecomposition, SubsetChain
 from .vectors import Vector
@@ -202,8 +202,7 @@ def _build(doc, chains=None):
              f"unsupported format_version {doc.get('format_version')!r}")
     kind, n = doc.get("kind"), doc.get("n")
     _require(kind in ("sjb", "scd"), f"unknown kind {kind!r}")
-    _require(isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= HARD_CAP,
-             f"n must be an integer in 0..{HARD_CAP}, got {n!r}")
+    check_ground_size(n)
     if chains is None:
         chains = doc.get("chains")
         _require(isinstance(chains, list), "chains must be a list")
@@ -216,8 +215,7 @@ def _build(doc, chains=None):
             continue
         _require(isinstance(ch, dict), f"chain {ci} must be an object")
         start = ch.get("start_rank")
-        _require(isinstance(start, int) and not isinstance(start, bool)
-                 and 0 <= start <= n, f"chain {ci}: bad start_rank {start!r}")
+        _require(type(start) is int and 0 <= start <= n, f"chain {ci}: bad start_rank {start!r}")
         items = ch.get(key)
         _require(isinstance(items, list) and items,
                  f"chain {ci}: {key} must be a non-empty list")
@@ -255,7 +253,7 @@ def _whole(stream) -> Serializable:
 
 def from_document(doc) -> Serializable:
     """Rebuild a basis or decomposition, validating the schema."""
-    return _whole(_build(doc))
+    return _whole(_checked(_build(doc)))
 
 
 _BLOCK = 1 << 16  # bytes (characters of a str) read from the file at a time
@@ -463,21 +461,21 @@ def _walk(fh):
         yield from _build(doc)
 
 
-def _checked(fh, raw=contextlib.nullcontext()):
-    """_walk of the text fh reads, raising every fault as a DocumentError;
-    raw, the file under fh, is closed once the walk ends."""
+def _checked(stream, raw=contextlib.nullcontext()):
+    """What stream yields, raising every fault as a DocumentError; raw, the
+    file under stream, is closed once the stream ends."""
     with raw:
         try:
-            yield from _walk(fh)
+            yield from stream
         except (ValueError, RecursionError) as exc:
-            # Other than a DocumentError, these come from the text itself: bytes that
-            # are not UTF-8, an integer past the digit limit (sys.get_int_max_str_digits),
-            # or values nested deeper than the JSON decoders recurse.
+            # Other than a DocumentError, these are a header n that check_ground_size
+            # refuses, bytes that are not UTF-8, an integer past the digit limit
+            # (sys.get_int_max_str_digits), or values nested deeper than the decoders recurse.
             raise exc if isinstance(exc, DocumentError) else DocumentError(str(exc)) from None
 
 
 def _read(fh) -> Serializable:
-    return _whole(_checked(fh))
+    return _whole(_checked(_walk(fh)))
 
 
 class _Whole(list):
@@ -530,7 +528,7 @@ def read_chains(path):
     raises DocumentError, at the header or from chains.
     """
     fh = open(path, "rb")
-    stream = _checked(_Utf8(fh), fh)
+    stream = _checked(_walk(_Utf8(fh)), fh)
     kind, n = next(stream)
     return kind, n, stream
 

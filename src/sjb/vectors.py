@@ -18,10 +18,6 @@ class GroundSetMismatchError(ValueError):
     """Two vectors over different ground sets were combined."""
 
 
-class NotHomogeneousError(ValueError):
-    """Vector mixes terms of different ranks."""
-
-
 class Vector:
     __slots__ = ("n", "_terms")
 
@@ -53,6 +49,11 @@ class Vector:
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    @property
+    def ranks(self) -> set[int]:
+        """The ranks of the subsets that hold a term."""
+        return set(map(int.bit_count, self._terms))
 
     def items(self) -> list[tuple[int, int]]:
         """(mask, coefficient) pairs in ascending mask order."""
@@ -121,11 +122,3 @@ class Vector:
 
     def __repr__(self) -> str:
         return f"Vector({self.n}, {self.items()!r})"
-
-
-def homogeneous_rank(v: Vector) -> int | None:
-    """Rank of a homogeneous vector, None for zero; raises on mixed ranks."""
-    ranks = set(map(int.bit_count, v._terms))
-    if len(ranks) > 1:
-        raise NotHomogeneousError(f"terms mix ranks {sorted(ranks)}")
-    return ranks.pop() if ranks else None

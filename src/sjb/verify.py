@@ -80,7 +80,7 @@ def verify_sjc(chain: JordanChain) -> VerificationReport:
     report.add("vectors_nonzero", bad is None, {"position": bad})
 
     bad_h = next(({"position": i, "expected_rank": k + i} for i, v in enumerate(chain.vectors)
-                  if set(map(int.bit_count, v._terms)) != {k + i}), None)
+                  if v.ranks != {k + i}), None)
     report.add("vectors_homogeneous", bad_h is None, bad_h)
 
     bad_link = next(({"position": i} for i in range(chain.length - 1)
@@ -260,7 +260,7 @@ def check_orthogonality(basis: JordanBasis) -> VerificationReport:
     n, groups = basis.n, [[] for _ in range(basis.n + 1)]
     for ci, ch in enumerate(basis.chains):
         for pi, v in enumerate(ch.vectors):
-            for r in set(map(int.bit_count, v._terms)):
+            for r in v.ranks:
                 groups[r].append((ci, pi, v))
     for r, group in enumerate(groups):
         check_items(len(group) ** 2, "entries", f"rank {r} stack of n={n}")

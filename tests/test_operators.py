@@ -12,7 +12,7 @@ from sjb import operators
 from sjb.lattice import MAX_ITEMS, CapacityError, binomial, covers_of, subsets_of_rank
 from sjb.operators import (TABLE_MAX_N, UpMatrix, _up_sparse, check_up_matrix_size, down,
                            embed, lift, up, up_matrix)
-from sjb.vectors import Vector, homogeneous_rank
+from sjb.vectors import Vector
 
 E, A, B, AB = 0b00, 0b01, 0b10, 0b11
 
@@ -57,10 +57,10 @@ def test_up_raises_rank_down_lowers():
             v = Vector(n, {m: rng.randint(1, 5) for m in rng.sample(masks, min(3, len(masks)))})
             uv = up(v)
             if not uv.is_zero:
-                assert homogeneous_rank(uv) == r + 1
+                assert uv.ranks == {r + 1}
             dv = down(v)
             if not dv.is_zero:
-                assert homogeneous_rank(dv) == r - 1
+                assert dv.ranks == {r - 1}
 
 
 def test_adjointness_randomized():

@@ -27,7 +27,6 @@ KEPT = {
     "build_scd": "the whole-object API, and a perfbench/traced.py target",
     "verify_sjb": "the whole-object API, and a perfbench/traced.py target",
     "check_ratio_uniformity": "the whole-object API, and a perfbench/traced.py target",
-    "homogeneous_rank": "a vector's rank, read from its terms",
     "Vector.coeff": "one subset's coefficient, read without sorting every term as items() does",
 }
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import sjb.serialize as serialize_module
 from sjb.cli import main
 from sjb.jordan import JordanBasis, JordanChain, build_sjb
+from sjb.lattice import CapacityError, check_ground_size
 from sjb.scd import ChainDecomposition, SubsetChain, build_scd
 from sjb.vectors import Vector
 from sjb.serialize import (DocumentError, deserialize, export_up_matrix_csv,
@@ -593,7 +594,7 @@ def test_read_chains_yields_each_chain_before_the_rest_is_read(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"format_version": "1", "kind": "sjb", "n": 64, "chains": [1, 2', "n must be"),
+    ('{"format_version": "1", "kind": "sjb", "n": 64, "chains": [1, 2', "ground set size must be"),
     ('{"chains": [], "format_version": "1", "kind": "sjb", "n": 3} x', "not valid JSON"),
     ('[1, 2]', "document must be an object"),
 ], ids=["header", "chains-first", "not-an-object"])
@@ -605,6 +606,25 @@ def test_read_chains_refuses_a_bad_header_at_once(tmp_path, text, message):
     with pytest.raises(DocumentError, match=message) as exc:
         read_chains(path)
     assert str(load_or_error(path)) == str(exc.value)
+
+
+@pytest.mark.parametrize("n", [-1, 64, True, "2", 1.0, None])
+def test_every_reader_refuses_a_bad_header_n_as_check_ground_size_does(tmp_path, capsys, n):
+    with pytest.raises(CapacityError) as refusal:
+        check_ground_size(n)
+    doc = {"format_version": "1", "kind": "sjb", "n": n, "chains": []}
+    text = json.dumps(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for read, arg in ((from_document, doc), (deserialize, text.encode()), (deserialize, text),
+                      (load, path), (read_chains, path)):
+        with pytest.raises(DocumentError) as exc:
+            read(arg)
+        assert str(exc.value) == str(refusal.value), read.__name__
+    if n == 64:
+        assert main(["verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ground set size must be in 0..63, got 64\n"
 
 
 def test_read_chains_of_chains_before_the_header(tmp_path):

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjb.lattice import subsets_of_rank
-from sjb.vectors import (GroundSetMismatchError, NotHomogeneousError, Vector,
-                         homogeneous_rank)
+from sjb.vectors import GroundSetMismatchError, Vector
 
 E = 0b000  # {}
 A = 0b001  # {1}
@@ -97,11 +96,10 @@ def test_construction_prunes_and_merges():
     assert len(Vector(2, {A: 0, B: 1})) == 1
 
 
-def test_homogeneous():
-    assert homogeneous_rank(Vector(2, {A: 1, B: 1})) == 1
-    assert homogeneous_rank(Vector(2)) is None
-    with pytest.raises(NotHomogeneousError):
-        homogeneous_rank(Vector(2, {E: 1, A: 1}))
+def test_ranks():
+    assert Vector(2, {A: 1, B: 1}).ranks == {1}
+    assert Vector(2).ranks == set()
+    assert Vector(2, {E: 1, A: 1}).ranks == {0, 1}
 
 
 @st.composite
@@ -114,14 +112,8 @@ def homogeneous_vectors(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(homogeneous_vectors(), vectors()))
-def test_homogeneous_rank_matches_bit_count_oracle(v):
-    ranks = {m.bit_count() for m, _ in v.items()}
-    if len(ranks) > 1:
-        with pytest.raises(NotHomogeneousError) as err:
-            homogeneous_rank(v)
-        assert str(err.value) == f"terms mix ranks {sorted(ranks)}"
-    else:
-        assert homogeneous_rank(v) == (ranks.pop() if ranks else None)
+def test_ranks_match_bit_count_oracle(v):
+    assert v.ranks == {m.bit_count() for m, _ in v.items()}
 
 
 def test_items_sorted_by_mask():
